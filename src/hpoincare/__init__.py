@@ -37,4 +37,4 @@ from .variational import (PoincareParams, TestFunction,  # noqa: E402
                           check_inequality, gradient_laplacian_constant,
                           sharp_constant, sharpness_sweep)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

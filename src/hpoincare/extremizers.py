@@ -264,15 +264,16 @@ def sandwich_decomposition(params: ExtremizerParams, iterate: RadialProfile,
     nodes = getattr(iterate, "fine_nodes", None)
     values = getattr(iterate, "fine_values", None)
     if nodes is None:
-        nodes = np.geomspace(params.s0 * 1e-6, 2 * params.R * 1e3, 4096)
+        # an odd node count: composite Simpson below needs an even number of gaps
+        nodes = np.geomspace(params.s0 * 1e-6, 2 * params.R * 1e3, 4097)
         values = np.asarray(iterate(nodes), dtype=float)
     f = extremizer_profile(params)(nodes)
     upper = c * f
     lower = (1.0 + eps) ** (-2.0 * index) * c * f
     clamped = np.clip(values, lower, upper)
     w = values - clamped
-    t = np.log(nodes)
-    w_norm_p = _simpson_mass(np.abs(w) ** p * nodes, t) ** (1.0 / p)
+    h = math.log(nodes[1] / nodes[0])
+    w_norm_p = _cumulative_simpson(np.abs(w) ** p * nodes, h)[-1] ** (1.0 / p)
     untouched = np.isclose(w, 0.0, atol=0.0)
     if s_window is None:
         s_window = (10.0 * params.s0, params.R / 10.0)
@@ -281,14 +282,6 @@ def sandwich_decomposition(params: ExtremizerParams, iterate: RadialProfile,
     frac_win = float(np.mean(untouched[in_window])) if np.any(in_window) else float("nan")
     edge = float(iterate(np.array([2.0 * params.R]))[0]) * params.R ** (1.0 / p)
     return SandwichReport(w_norm_p, float(np.max(np.abs(w))), frac_all, frac_win, edge)
-
-
-def _simpson_mass(y, t):
-    n = len(y)
-    if n % 2 == 0:
-        y, t = y[:-1], t[:-1]
-    h = t[1] - t[0]
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
 
 
 def second_order_majorant(f: RadialProfile, sp: SpaceParams, p: float,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DomainError
+from .numerics import DomainError, batched_gauss
 
 
 def unit_ball_volume(n: int) -> float:
@@ -73,12 +73,9 @@ def sinh_power_primitive(rho, n: int):
     out = np.zeros_like(rho)
     small = rho < 1.0
     if np.any(small):
-        x, w = np.polynomial.legendre.leggauss(32)
         r_small = rho[small]
-        half = 0.5 * r_small
-        pts = half[:, None] * (x[None, :] + 1.0)
-        vals = np.sinh(pts) ** (n - 1)
-        out[small] = half * (vals * w[None, :]).sum(axis=1)
+        out[small] = batched_gauss(lambda r: np.sinh(r) ** (n - 1),
+                                   np.zeros_like(r_small), r_small, 32)
     big = ~small
     if np.any(big):
         acc = np.zeros_like(rho[big])

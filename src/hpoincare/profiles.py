@@ -463,17 +463,21 @@ class RadialProfile:
                     frac = 1.0 if other == 0 else -math.expm1(e1 * math.log(other / edge))
                     total += bulk * frac
                 continue
-            integrand = lambda s, seg=seg: np.abs(seg.value(s)) ** p
-            if math.isinf(hi):
-                decay = self.tail_bound
-                if decay is None or decay * p <= 1:
-                    raise numerics.QuadratureError(
-                        f"divergent or unbounded |v|^p tail from {seg.s_lo}")
-                total += numerics.integrate(integrand, seg.s_lo, np.inf, cfg,
-                                            tail_decay=decay * p)
-            else:
-                total += numerics.integrate(integrand, seg.s_lo, hi, cfg)
+            total += self.segment_integral(
+                seg, lambda s, seg=seg: np.abs(seg.value(s)) ** p, p, cfg)
         return total
+
+    def segment_integral(self, seg, integrand, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+        """Integral of integrand over the segment seg of this profile. On the
+        infinite last segment the integrand must decay like |v|^p, that is
+        like s^(-tail_bound * p); QuadratureError if that is not integrable."""
+        if not math.isinf(seg.s_hi):
+            return numerics.integrate(integrand, seg.s_lo, seg.s_hi, cfg)
+        decay = None if self.tail_bound is None else self.tail_bound * p
+        if decay is None or decay <= 1:
+            raise numerics.QuadratureError(
+                f"divergent or unbounded tail from {seg.s_lo}; tighten tail_bound")
+        return numerics.integrate(integrand, seg.s_lo, np.inf, cfg, tail_decay=decay)
 
 
 def zero_tail(s_lo):

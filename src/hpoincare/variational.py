@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extremizers, numerics
-from .geometry import SpaceParams, surface_measure
+from .geometry import SpaceParams, surface_measure, surface_measure_slope
 from .numerics import DEFAULT_QUADRATURE, DomainError, GridSpec, QuadratureConfig
 from .profiles import RadialProfile
 
@@ -121,26 +121,10 @@ class TestFunction:
         return cls(coeffs, alpha)
 
 
-def _geodesic_integral(fn, sp: SpaceParams, cfg: QuadratureConfig,
-                       rho_cap: float = 8000.0):
-    """Integral over hyperbolic space of a radial integrand fn(rho) (which
-    must already include the sphere-area factor), with chunk-doubled
-    truncation: the integrand must decay exponentially."""
-    total = numerics.integrate(fn, 0.0, 20.0, cfg)
-    lo = 20.0
-    scale = abs(total)
-    while lo < rho_cap:
-        hi = min(2.0 * lo, rho_cap)
-        part = numerics.integrate(fn, lo, hi, cfg)
-        total += part
-        scale = max(scale, abs(total))
-        edge = abs(float(np.atleast_1d(fn(np.array([hi])))[0]))
-        if edge * hi <= max(cfg.abs_tol, cfg.rel_tol * scale) and abs(part) <= max(
-                cfg.abs_tol, cfg.rel_tol * scale):
-            return total
-        lo = hi
-    raise numerics.QuadratureError("geodesic-coordinate integral did not decay "
-                                   "before the truncation cap", estimate=total)
+# Radial integrands over hyperbolic space (sphere-area factor included) decay
+# exponentially, so decay exponent 2 bounds their tail: the truncation point
+# rho needs |integrand(rho)| rho <= tol. The first cut is at rho = 20.
+_GEODESIC_TAIL = {"breakpoints": (20.0,), "tail_decay": 2.0}
 
 
 def _weighted_power(values, rho, sp: SpaceParams, p: float, log_offset=None):
@@ -180,7 +164,7 @@ def lp_norm_geodesic(u, sp: SpaceParams, p: float,
         fn = _test_function_integrand(u, sp, p, u.poly)
     else:
         fn = lambda r: _weighted_power(u(r), r, sp, p)
-    return _geodesic_integral(fn, sp, cfg) ** (1.0 / p)
+    return numerics.integrate(fn, 0.0, np.inf, cfg, **_GEODESIC_TAIL) ** (1.0 / p)
 
 
 def grad_norm_geodesic(u, sp: SpaceParams, p: float,
@@ -191,7 +175,7 @@ def grad_norm_geodesic(u, sp: SpaceParams, p: float,
         fn = _test_function_integrand(u, sp, p, u._p1)
     else:
         fn = lambda r: _weighted_power(u.d1(r), r, sp, p)
-    return _geodesic_integral(fn, sp, cfg) ** (1.0 / p)
+    return numerics.integrate(fn, 0.0, np.inf, cfg, **_GEODESIC_TAIL) ** (1.0 / p)
 
 
 def laplacian_norm_geodesic(u, sp: SpaceParams, p: float,
@@ -213,7 +197,7 @@ def laplacian_norm_geodesic(u, sp: SpaceParams, p: float,
         fn = _test_function_integrand(u, sp, p, mantissa)
     else:
         fn = lambda r: _weighted_power(radial_laplacian_geodesic(u, r, sp), r, sp, p)
-    return _geodesic_integral(fn, sp, cfg) ** (1.0 / p)
+    return numerics.integrate(fn, 0.0, np.inf, cfg, **_GEODESIC_TAIL) ** (1.0 / p)
 
 
 def lp_norm_volume(v: RadialProfile, p: float,
@@ -226,29 +210,10 @@ def lp_norm_volume(v: RadialProfile, p: float,
 def grad_norm_volume(v: RadialProfile, sp: SpaceParams, p: float,
                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """L^p norm of the gradient: (integral of (A(s) |v'(s)|)^p ds)^(1/p)."""
-    total = 0.0
-    for seg in v.segments:
-        if seg.is_zero():
-            continue
-        integrand = lambda s, seg=seg: (
-            surface_measure(s, sp) * np.abs(seg.deriv(s))) ** p
-        hi = seg.s_hi
-        if math.isinf(hi):
-            tb = v.tail_bound
-            # |v'| ~ s^-(tb+1), A ~ s, so the integrand decays like s^(-tb p)
-            decay = None if tb is None else tb * p
-            if decay is None or decay <= 1:
-                raise numerics.QuadratureError(
-                    "divergent gradient tail; tighten tail_bound")
-            total += numerics.integrate(integrand, seg.s_lo, np.inf, cfg,
-                                        tail_decay=decay)
-        else:
-            lo = seg.s_lo
-            if lo == 0.0:
-                # A(s) ~ s^(1-1/n) near 0: integrable against bounded v'
-                lo = 1e-14 * hi
-                total += 0.0
-            total += numerics.integrate(integrand, lo, hi, cfg)
+    # |v'| ~ s^-(tail_bound+1) and A ~ s: the integrand decays like |v|^p
+    total = sum(v.segment_integral(
+        seg, lambda s, seg=seg: (surface_measure(s, sp) * np.abs(seg.deriv(s))) ** p, p, cfg)
+        for seg in v.segments if not seg.is_zero())
     return total ** (1.0 / p)
 
 
@@ -261,33 +226,14 @@ def laplacian_norm_volume(v: RadialProfile, sp: SpaceParams, p: float,
     """
     if v.source is not None:
         return lp_norm_volume(v.source, p, cfg)
-    from .geometry import laplacian_volume_coord
 
-    total = 0.0
-    for seg in v.segments:
-        if seg.is_zero():
-            continue
+    def integrand(s, seg):
+        a = surface_measure(s, sp)
+        lap = a * a * seg.deriv2(s) + 2.0 * a * surface_measure_slope(s, sp) * seg.deriv(s)
+        return np.abs(lap) ** p
 
-        def integrand(s, seg=seg):
-            s = np.asarray(s, dtype=float)
-            a = surface_measure(s, sp)
-            from .geometry import surface_measure_slope
-            da = surface_measure_slope(s, sp)
-            lap = a * a * seg.deriv2(s) + 2.0 * a * da * seg.deriv(s)
-            return np.abs(lap) ** p
-
-        hi = seg.s_hi
-        if math.isinf(hi):
-            tb = v.tail_bound
-            decay = None if tb is None else tb * p
-            if decay is None or decay <= 1:
-                raise numerics.QuadratureError(
-                    "divergent Laplacian tail; tighten tail_bound")
-            total += numerics.integrate(integrand, seg.s_lo, np.inf, cfg,
-                                        tail_decay=decay)
-        else:
-            lo = seg.s_lo if seg.s_lo > 0 else 1e-14 * hi
-            total += numerics.integrate(integrand, lo, hi, cfg)
+    total = sum(v.segment_integral(seg, lambda s, seg=seg: integrand(s, seg), p, cfg)
+                for seg in v.segments if not seg.is_zero())
     return total ** (1.0 / p)
 
 

@@ -27,6 +27,23 @@ class TestIntegrate:
         val = integrate(f, 0.0, 1.0, breakpoints=[0.5])
         assert val == pytest.approx(0.25, rel=1e-12)
 
+    def test_open_panels_of_a_level_share_one_call(self):
+        sizes = []
+
+        def f(s):
+            sizes.append(np.size(s))
+            return np.cos(s)
+
+        val = integrate(f, 0.0, 1.0, breakpoints=[0.2, 0.4, 0.6, 0.8])
+        assert val == pytest.approx(np.sin(1.0), rel=1e-14)
+        assert sizes == [5 * 21]
+
+    def test_tail_needs_small_last_chunk(self):
+        # (s-2)^2/s^4 <= s^-2 vanishes at the first truncation point s = 2,
+        # where the majorant alone would stop; the integral over [1, inf) is 1/3
+        val = integrate(lambda s: (s - 2.0) ** 2 / s ** 4, 1.0, np.inf, tail_decay=2.0)
+        assert val == pytest.approx(1.0 / 3.0, rel=1e-10)
+
     def test_semi_infinite_requires_decay(self):
         with pytest.raises(ValueError):
             integrate(lambda s: s ** -2.0, 1.0, np.inf)
@@ -94,3 +111,12 @@ def test_batched_gauss_matches_closed_form():
     got = batched_gauss(lambda s: s ** 2, a, b)
     want = (b ** 3 - a ** 3) / 3.0
     assert np.allclose(got, want, rtol=1e-13)
+
+
+def test_kronrod_table_exact_through_its_degree():
+    from hpoincare.numerics import _W21, _X21
+    for k in range(32):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        assert abs(_W21[:, 0] @ _X21 ** k - exact) < 1e-14  # K21: degree 31
+        if k < 20:
+            assert abs(_W21[:, 1] @ _X21 ** k - exact) < 1e-14  # G10: degree 19

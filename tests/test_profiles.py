@@ -91,6 +91,15 @@ class TestRadialProfile:
                               zero_tail(A)], nonincreasing=True)
         assert prof.lp_power(3.0) == pytest.approx(601.0, rel=1e-12)
 
+    def test_lp_power_two_term_tail(self):
+        # generic quadrature branch: integral of (c1/s + c2/s^2)^2 over [1, inf)
+        c1, c2 = 1.7, -0.8
+        prof = RadialProfile([PowerSegment(0, 1, ()),
+                              PowerSegment(1, np.inf, [(c1, -1.0), (c2, -2.0)])],
+                             tail_bound=1.0)
+        assert prof.lp_power(2.0) == pytest.approx(c1 ** 2 + c1 * c2 + c2 ** 2 / 3,
+                                                   rel=1e-9)
+
     def test_lp_power_divergent_tail_raises(self):
         prof = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]),
                               PowerSegment(1, np.inf, [(1.0, -0.5)])])

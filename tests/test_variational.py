@@ -142,6 +142,28 @@ class TestNormsGeodesic:
         u = RadialTestFunction.random(3, 2.0, seed=2)
         assert np.isfinite(laplacian_norm_geodesic(u, SpaceParams(3), 2.0))
 
+    @staticmethod
+    def _n3_p2_mass(poly, alpha):
+        """Integral over hyperbolic 3-space of (poly(rho) e^{-alpha rho})^2:
+        4 pi sinh^2 rho = pi (e^{2 rho} - 2 + e^{-2 rho}) and
+        integral of rho^k e^{-c rho} over [0, inf) = k! / c^(k+1)."""
+        total = 0.0
+        for k, ck in enumerate((poly * poly).coef):
+            total += ck * math.factorial(k) * sum(
+                w / c ** (k + 1) for w, c in ((1.0, 2 * alpha - 2), (-2.0, 2 * alpha),
+                                               (1.0, 2 * alpha + 2)))
+        return math.pi * total
+
+    def test_lp_and_grad_norm_closed_form(self):
+        sp = SpaceParams(3)
+        for seed in range(4):
+            u = RadialTestFunction.random(3, 2.0, seed=seed)
+            p1 = u.poly.deriv() - u.alpha * u.poly
+            assert lp_norm_geodesic(u, sp, 2.0) ** 2 == pytest.approx(
+                self._n3_p2_mass(u.poly, u.alpha), rel=1e-9)
+            assert grad_norm_geodesic(u, sp, 2.0) ** 2 == pytest.approx(
+                self._n3_p2_mass(p1, u.alpha), rel=1e-9)
+
 
 class TestNormsVolume:
     def test_lp_volume_matches_geodesic(self):
@@ -164,6 +186,19 @@ class TestNormsVolume:
                                             + (2 ** (p + 1) - 1) / (p + 1))
         assert g ** p <= bound
         assert g ** p >= n1 ** p * lr / p ** p  # plateau-free lower bound
+
+    def test_grad_norm_volume_closed_form(self):
+        # n = 2: A(s)^2 = s^2 + 4 pi s exactly. Profile: constant head,
+        # c s^e on [a, b], c2 / s tail; the gradient mass at p = 2 is
+        # c^2 e^2 [s^(2e+1)/(2e+1) + 4 pi s^(2e)/(2e)]_a^b + c2^2 (1/b + 2 pi/b^2)
+        from hpoincare.profiles import PowerSegment, RadialProfile
+        a, b, c, e, c2 = 0.5, 7.0, 0.9, -0.4, 0.6
+        prof = RadialProfile([PowerSegment(0.0, a, [(1.3, 0.0)]),
+                              PowerSegment(a, b, [(c, e)]),
+                              PowerSegment(b, np.inf, [(c2, -1.0)])], tail_bound=1.0)
+        prim = lambda s: s ** (2 * e + 1) / (2 * e + 1) + 4 * math.pi * s ** (2 * e) / (2 * e)
+        want = c ** 2 * e ** 2 * (prim(b) - prim(a)) + c2 ** 2 * (1 / b + 2 * math.pi / b ** 2)
+        assert grad_norm_volume(prof, SpaceParams(2), 2.0) ** 2 == pytest.approx(want, rel=1e-9)
 
 
 class TestInequality:
@@ -214,6 +249,13 @@ class TestSharpness:
         qs = [pt.quotient for pt in res.points]
         assert qs[0] < qs[1] < qs[2] < res.constant
         assert res.extrapolated <= res.constant * 1.02
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_widest_m2_sweep_within_split_budget(self, n):
+        # the L^p mass of the sampled iterate at ln(R/s0) = 58 needs some
+        # 2,500 panel splits, close to the default max_subdivisions of 4000
+        res = sharpness_sweep(n, 2, 2.0, log_ratios=(58.0,))
+        assert 0.0 < res.points[0].quotient < res.constant
 
     def test_sweep_cap_for_higher_order(self):
         with pytest.raises(DomainError):
