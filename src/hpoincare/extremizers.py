@@ -210,9 +210,16 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec,
 def _cumulative_simpson(y, h):
     """Cumulative integral with composite Simpson on a uniform grid.
 
-    Odd intermediate points are filled with the half-panel Simpson rule.
+    Odd intermediate points are filled with the half-panel Simpson rule. On
+    an even number of samples the last interval is closed with the
+    quadratic through the last three samples.
     """
     n = len(y)
+    if n % 2 == 0:
+        out = np.empty(n)
+        out[:-1] = _cumulative_simpson(y[:-1], h)
+        out[-1] = out[-2] + h / 12.0 * (-y[-3] + 8.0 * y[-2] + 5.0 * y[-1])
+        return out
     out = np.zeros(n)
     # two-step Simpson increments
     inc2 = h / 3.0 * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
@@ -264,8 +271,7 @@ def sandwich_decomposition(params: ExtremizerParams, iterate: RadialProfile,
     nodes = getattr(iterate, "fine_nodes", None)
     values = getattr(iterate, "fine_values", None)
     if nodes is None:
-        # an odd node count: composite Simpson below needs an even number of gaps
-        nodes = np.geomspace(params.s0 * 1e-6, 2 * params.R * 1e3, 4097)
+        nodes = np.geomspace(params.s0 * 1e-6, 2 * params.R * 1e3, 4096)
         values = np.asarray(iterate(nodes), dtype=float)
     f = extremizer_profile(params)(nodes)
     upper = c * f

@@ -133,9 +133,11 @@ def _kronrod(fv, lo, hi, log):
     s = x.copy()
     s[log] = np.exp(x[log])
     vals = fv(s.ravel()).reshape(s.shape)
-    if np.any(np.isnan(vals)):
-        bad = s[np.isnan(vals)][0]
-        raise QuadratureError(f"integrand returned NaN at {bad!r}")
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        val, at = vals[bad][0], float(s[bad][0])
+        raise QuadratureError(
+            f"integrand returned {'NaN' if np.isnan(val) else val} at {at!r}")
     jacobian = np.where(log[:, None], s, 1.0)
     kg = half[:, None] * ((vals * jacobian) @ _W21)
     return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
@@ -211,31 +213,36 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     the remainder and the mass of the last chunk are within tolerance.
 
     Raises QuadratureError, with the best estimate and its error bound, on a
-    NaN of f, when the splits run out, or when the tail does not converge.
+    NaN or infinite value of f, when the splits run out, or when the tail
+    does not converge.
     """
     if not (a < b):
         raise ValueError("need a < b")
+    if np.isinf(b) and (tail_decay is None or tail_decay <= 1):
+        raise ValueError("semi-infinite integral needs tail decay exponent > 1")
     fv = _vectorize(f)
     budget = [cfg.max_subdivisions]
-    if not np.isinf(b):
-        return _adaptive(fv, a, b, breakpoints, cfg, budget)[0]
-    if tail_decay is None or tail_decay <= 1:
-        raise ValueError("semi-infinite integral needs tail decay exponent > 1")
-    bks = [float(c) for c in breakpoints if np.isfinite(c)]
-    B = max([2.0 * abs(a), 1.0, a + 1.0] + [2.0 * c for c in bks if c > a])
-    total, err = _adaptive(fv, a, B, bks, cfg, budget)
-    part = total  # [a, B] counts as the first chunk
-    for _ in range(300):
-        if not np.isfinite(total):
-            break
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        majorant = abs(float(fv(np.array([B]))[0])) * B / (tail_decay - 1.0)
-        if majorant <= tol and abs(part) <= tol:
-            return total
-        part, e = _adaptive(fv, B, 8.0 * B, (), cfg, budget)
-        total += part
-        err += e
-        B *= 8.0
+    # _kronrod raises on a non-finite value of f, naming it and its
+    # abscissa, so numpy's overflow and invalid-value warnings inside f
+    # would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isinf(b):
+            return _adaptive(fv, a, b, breakpoints, cfg, budget)[0]
+        bks = [float(c) for c in breakpoints if np.isfinite(c)]
+        B = max([2.0 * abs(a), 1.0, a + 1.0] + [2.0 * c for c in bks if c > a])
+        total, err = _adaptive(fv, a, B, bks, cfg, budget)
+        part = total  # [a, B] counts as the first chunk
+        for _ in range(300):
+            if not np.isfinite(total):
+                break
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            majorant = abs(float(fv(np.array([B]))[0])) * B / (tail_decay - 1.0)
+            if majorant <= tol and abs(part) <= tol:
+                return total
+            part, e = _adaptive(fv, B, 8.0 * B, (), cfg, budget)
+            total += part
+            err += e
+            B *= 8.0
     raise QuadratureError("tail truncation did not converge",
                           estimate=total, error_bound=err)
 

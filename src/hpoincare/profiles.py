@@ -352,7 +352,6 @@ class RadialProfile:
         self.source = source
         self._bounds = np.array([seg.s_lo for seg in segments[1:]])
         self._cum_cache = None
-        self._pieces_cache = None
 
     @property
     def breakpoints(self):

@@ -3,10 +3,23 @@
 Distribution function, decreasing rearrangement, running-average maximal
 function, the Hardy inequality check with the conjugate-exponent constant,
 and radialization back onto hyperbolic space.
+
+The distribution function mu of |v| is summed in closed form over the
+monotone pieces of v. The decreasing rearrangement f* reads a table of mu at
+the critical values of |v| (the ends of the pieces) and just below each: a
+level t inside a jump of mu lies on a plateau of f*, which is returned
+exactly; elsewhere mu is strictly monotone on the bracket and f*(t) is
+refined by a vectorized Illinois (safeguarded regula falsi) iteration in
+ln y. The primitive of f* comes from the layer-cake identity
+int_0^s f* = int_{|v| > y} |v| + y (s - mu(y)) with y = f*(s), so running
+averages and Hardy checks of f* need no quadrature grid over f*.
+Distribution functions of f* itself invert f* on s with the same Illinois
+iteration, independently of the mu of its source.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +48,17 @@ class _Piece:
 
 
 _PROBE = 129
+# a bisection at least every fourth step takes an ln-bracket of width 80
+# down to float resolution in under 250 steps
+_MAX_ITER = 250
+
+# monotone pieces of each profile, computed once per profile
+_PIECES = weakref.WeakKeyDictionary()
 
 
-def _segment_cuts(seg):
-    """Interior abscissae where v or v' changes sign within the segment."""
+def _segment_cuts(seg, value_only=False):
+    """Interior abscissae where v, or (unless value_only) v', changes sign
+    within the segment."""
     lo, hi = seg.s_lo, seg.s_hi
     if np.isinf(hi):
         return []
@@ -50,7 +70,7 @@ def _segment_cuts(seg):
     else:
         xs = np.linspace(lo + eps, hi - eps, _PROBE)
     cuts = []
-    for fn in (seg.value, seg.deriv):
+    for fn in (seg.value,) if value_only else (seg.value, seg.deriv):
         ys = np.asarray(fn(xs), dtype=float)
         sign_change = np.where(np.diff(np.signbit(ys)))[0]
         for i in sign_change:
@@ -63,13 +83,17 @@ def _segment_cuts(seg):
 
 
 def _monotone_pieces(profile):
-    if profile._pieces_cache is not None:
-        return profile._pieces_cache
+    pieces = _PIECES.get(profile)
+    if pieces is not None:
+        return pieces
     pieces = []
     for seg in profile.segments:
         if seg.is_zero():
             continue
-        edges = [seg.s_lo] + _segment_cuts(seg) + [seg.s_hi]
+        # a nonincreasing profile is monotone on every segment, but it may
+        # still cross zero once
+        cuts = _segment_cuts(seg, value_only=profile.nonincreasing)
+        edges = [seg.s_lo] + cuts + [seg.s_hi]
         for a, b in zip(edges[:-1], edges[1:]):
             if np.isinf(b):
                 probe = max(2 * a, 1.0)
@@ -83,8 +107,53 @@ def _monotone_pieces(profile):
                 vb = abs(float(seg.value(np.array([b]))[0]))
             sign = np.sign(float(seg.value(np.array([mid]))[0])) or 1.0
             pieces.append(_Piece(a, b, seg, sign, va, vb))
-    profile._pieces_cache = pieces
+    _PIECES[profile] = pieces
     return pieces
+
+
+def _illinois(g, lo, hi, glo, ghi, ftol):
+    """Roots of g on the brackets [lo, hi], vectorized over problems.
+
+    g(x, i) returns the residuals of the problems with indices i at x;
+    glo and ghi are the residuals at the bracket ends and must differ in
+    sign (a problem whose ends do not is solved by the end with the smaller
+    residual). Each step is regula falsi that halves the residual kept at
+    an end retained twice in a row (Illinois), or a bisection when three
+    steps did not halve the bracket, so rounding noise in g cannot stall
+    it. A problem stops once |g| <= ftol or its bracket is no wider than
+    4 ulp of max(1, |lo|, |hi|), the resolution of a logarithm.
+    """
+    lo, hi, glo, ghi, ftol = (np.array(a, dtype=float) for a in
+                              np.broadcast_arrays(lo, hi, glo, ghi, ftol))
+    x = np.where(np.abs(glo) <= np.abs(ghi), lo, hi)
+    xtol = 2 * np.spacing(np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+    idx = np.flatnonzero((np.sign(glo) * np.sign(ghi) < 0) & (hi - lo > 2 * xtol)
+                         & (np.abs(glo) > ftol) & (np.abs(ghi) > ftol))
+    lo, hi, glo, ghi, ftol, xtol = (a[idx] for a in (lo, hi, glo, ghi, ftol, xtol))
+    side = np.zeros(idx.size)  # +1: lo moved last, -1: hi moved last
+    w1 = w2 = w3 = np.full(idx.size, np.inf)  # bracket widths 1-3 steps back
+    for _ in range(_MAX_ITER):
+        if not idx.size:
+            break
+        w = hi - lo
+        xn = (lo * ghi - hi * glo) / (ghi - glo)
+        xn = np.where(w > 0.5 * w3, 0.5 * (lo + hi), xn)
+        # a step onto an end (a root within resolution of it) moves by xtol
+        # instead, which closes the bracket on the next test
+        xn = np.clip(xn, lo + xtol, hi - xtol)
+        gx = g(xn, idx)
+        x[idx] = xn
+        right = np.sign(gx) == np.sign(glo)  # the root lies right of xn
+        ghi = np.where(right & (side == 1), 0.5 * ghi, ghi)
+        glo = np.where(~right & (side == -1), 0.5 * glo, glo)
+        lo, glo = np.where(right, xn, lo), np.where(right, gx, glo)
+        hi, ghi = np.where(right, hi, xn), np.where(right, ghi, gx)
+        side = np.where(right, 1.0, -1.0)
+        w3, w2, w1 = w2, w1, w
+        live = (np.abs(gx) > ftol) & (hi - lo > 2 * xtol)
+        idx, lo, hi, glo, ghi, ftol, xtol, side, w1, w2, w3 = (
+            a[live] for a in (idx, lo, hi, glo, ghi, ftol, xtol, side, w1, w2, w3))
+    return x
 
 
 def _invert_piece(piece, y):
@@ -105,14 +174,17 @@ def _invert_piece(piece, y):
             return (v - a0) / b1
     if isinstance(seg, LogAffineSegment):
         return np.exp((v - seg.a) / seg.b)
-    return _bisect_piece(piece, np.asarray(y, dtype=float))
+    return _solve_piece(piece, np.asarray(y, dtype=float))
 
 
-def _bisect_piece(piece, y):
+def _solve_piece(piece, y):
+    """Abscissae where |v| = y on a piece without a closed-form inverse, by
+    the Illinois iteration in ln s; on an infinite piece the bracket is
+    first widened by factors of 4."""
+    absv = lambda s: np.abs(piece.seg.value(s))
     lo = np.full_like(y, piece.a if piece.a > 0 else piece.b * 1e-15)
     if np.isinf(piece.b):
         hi = np.full_like(y, max(2 * piece.a, 1.0))
-        absv = lambda s: np.abs(piece.seg.value(s))
         for _ in range(300):
             need = absv(hi) > y
             if not np.any(need):
@@ -120,16 +192,33 @@ def _bisect_piece(piece, y):
             hi = np.where(need, hi * 4.0, hi)
     else:
         hi = np.full_like(y, piece.b)
-        absv = lambda s: np.abs(piece.seg.value(s))
-    # |v| monotone on the piece; log-space bisection
-    dec = not piece.increasing
-    for _ in range(90):
-        mid = np.sqrt(lo * hi)
-        above = absv(mid) > y
-        go_right = above if dec else ~above
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    return np.sqrt(lo * hi)
+    resid = lambda x, i: absv(np.exp(x)) - y[i]
+    every = np.arange(y.size)
+    lo, hi = np.log(lo), np.log(hi)
+    return np.exp(_illinois(resid, lo, hi, resid(lo, every), resid(hi, every),
+                            4 * np.spacing(y)))
+
+
+def _superlevel_span(piece, y):
+    """Ends lo <= hi of {s in the piece : |v(s)| > y}, with lo == hi where
+    that set is empty."""
+    lo = np.full_like(y, piece.a)
+    hi = lo.copy()
+    if np.isinf(piece.b):
+        inside = (y < piece.va) & (y > 0)
+        if np.any(inside):
+            hi[inside] = _invert_piece(piece, y[inside])
+        return lo, hi
+    full = y < min(piece.va, piece.vb)
+    inside = ~full & (y < max(piece.va, piece.vb))
+    hi[full] = piece.b
+    if np.any(inside):
+        x = _invert_piece(piece, y[inside])
+        if piece.increasing:
+            lo[inside], hi[inside] = x, piece.b
+        else:
+            hi[inside] = x
+    return lo, hi
 
 
 def _measure_above(profile, y):
@@ -137,26 +226,8 @@ def _measure_above(profile, y):
     y = np.asarray(y, dtype=float)
     total = np.zeros_like(y)
     for piece in _monotone_pieces(profile):
-        lo_val, hi_val = min(piece.va, piece.vb), max(piece.va, piece.vb)
-        if np.isinf(piece.b):
-            inside = (y < hi_val) & (y > 0)
-            if np.any(inside):
-                x = _invert_piece(piece, y[inside])
-                contrib = np.zeros_like(y)
-                contrib[inside] = x - piece.a
-                total = total + contrib
-            continue
-        length = piece.b - piece.a
-        full = y < lo_val
-        inside = (y >= lo_val) & (y < hi_val)
-        contrib = np.where(full, length, 0.0)
-        if np.any(inside):
-            x = _invert_piece(piece, y[inside])
-            part = (piece.b - x) if piece.increasing else (x - piece.a)
-            c2 = np.zeros_like(y)
-            c2[inside] = part
-            contrib = contrib + c2
-        total = total + contrib
+        lo, hi = _superlevel_span(piece, y)
+        total = total + (hi - lo)
     return total
 
 
@@ -173,8 +244,91 @@ def _sup_value(profile):
     return max([max(p.va, p.vb) for p in _monotone_pieces(profile)], default=0.0)
 
 
+class _LevelTable:
+    """f*(t) = inf{y : mu(y) <= t} of a profile v, from mu at the critical
+    values c_0 = sup > c_1 > ... > c_K = floor of |v| (the ends of its
+    monotone pieces) and just below each.
+
+    mu(c_k) <= t < mu(c_k-) is a plateau of f*, where f*(t) = c_k exactly.
+    Between mu(c_k-) and mu(c_{k+1}), mu is continuous and strictly
+    decreasing on (c_{k+1}, c_k), and f*(t) is its root there (Illinois in
+    ln y, stopped at a residual of 4 ulp of t or a bracket of 4 ulp of
+    ln y). f* is 0 from mu(floor) on.
+    """
+
+    def __init__(self, v: RadialProfile, sup: float):
+        self.source = v
+        self.floor = sup * 1e-18
+        pieces = _monotone_pieces(v)
+        crit = {sup} | {p.va for p in pieces} | {p.vb for p in pieces}
+        self.levels = np.array(sorted((c for c in crit if self.floor < c <= sup),
+                                      reverse=True) + [self.floor])
+        self.mu = _measure_above(v, self.levels)
+        self.mu_below = _measure_above(v, np.nextafter(self.levels, 0.0))
+        # mu(c_0) <= mu(c_0-) <= mu(c_1) <= ..., made monotone against rounding
+        self.breaks = np.maximum.accumulate(
+            np.column_stack([self.mu, self.mu_below]).ravel())
+        self.dead = 2 * (len(self.levels) - 1)  # break index of mu(floor)
+
+    def bracket(self, t):
+        """Index k of the break interval [breaks[k], breaks[k+1]) holding t:
+        even k = 2j is the plateau at c_j, odd k = 2j+1 the ramp below it."""
+        return np.maximum(np.searchsorted(self.breaks, t, side="right") - 1, 0)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        k = self.bracket(t)
+        out = np.zeros(t.shape)
+        plateau = (k % 2 == 0) & (k < self.dead)
+        out[plateau] = self.levels[k[plateau] // 2]
+        ramp = (k % 2 == 1) & (k < self.dead)
+        if np.any(ramp):
+            j, tr = k[ramp] // 2, t[ramp]
+            resid = lambda x, i: _measure_above(self.source, np.exp(x)) - tr[i]
+            x = _illinois(resid, np.log(self.levels[j + 1]),
+                          np.log(np.nextafter(self.levels[j], 0.0)),
+                          self.mu[j + 1] - tr, self.mu_below[j] - tr, 4 * np.spacing(tr))
+            out[ramp] = np.exp(x)
+        return out
+
+    def integral(self, s):
+        """Integral of f* over [0, s] by the layer-cake identity
+        int_{|v| > y} |v| + y (s - mu(y)) with y = f*(s), the first term in
+        closed form over the monotone pieces of the source."""
+        s = np.asarray(s, dtype=float)
+        y = np.maximum(self(s), self.floor)
+        mass = np.zeros(s.shape)
+        mu = np.zeros(s.shape)
+        for piece in _monotone_pieces(self.source):
+            lo, hi = _superlevel_span(piece, y)
+            mu += hi - lo
+            live = hi > lo
+            if np.any(live):
+                prim = piece.seg.primitive_from_lo
+                mass[live] += piece.sign * (prim(hi[live]) - prim(lo[live]))
+        return mass + y * (s - mu)
+
+
+class _RearrangedSegment(FuncSegment):
+    """A piece of the decreasing rearrangement: f* from the level table of
+    its source, with an exact primitive."""
+
+    def __init__(self, s_lo, s_hi, table: _LevelTable):
+        super().__init__(s_lo, s_hi, table)
+        self._base = None  # integral of f* over [0, s_lo]
+
+    def primitive_from_lo(self, s):
+        if self._base is None:
+            self._base = float(self.fn.integral(np.array([self.s_lo]))[0])
+        return self.fn.integral(s) - self._base
+
+
 def decreasing_rearrangement(v: RadialProfile) -> RadialProfile:
-    """Nonincreasing rearrangement of |v|, equimeasurable with |v|."""
+    """Nonincreasing rearrangement of |v|, equimeasurable with |v|.
+
+    Plateaus of f* become constant segments; the parts between are
+    _RearrangedSegments, all reading one level table of v.
+    """
     if v.nonincreasing:
         return v
     pieces = _monotone_pieces(v)
@@ -183,57 +337,29 @@ def decreasing_rearrangement(v: RadialProfile) -> RadialProfile:
     sup = _sup_value(v)
     if not np.isfinite(sup):
         raise QuadratureError("unbounded profiles are not supported by the rearrangement")
-    has_tail = any(np.isinf(p.b) for p in pieces)
-    # total measure of the support (finite iff compactly supported)
-    if has_tail:
-        total = np.inf
-    else:
-        total = float(_measure_above(v, np.array([sup * 1e-18]))[0])
     # verify all super-level sets are finite
     probe = _measure_above(v, np.array([sup * 1e-12]))
     if not np.all(np.isfinite(probe)):
         raise QuadratureError(f"super-level set at level {sup * 1e-12:g} has infinite measure")
-
-    floor = sup * 1e-18
-
-    def fstar(t):
-        t = np.asarray(t, dtype=float)
-        ylo = np.full_like(t, floor)
-        yhi = np.full_like(t, sup)
-        dead = _measure_above(v, ylo) <= t  # essentially below resolution
-        for _ in range(90):
-            mid = np.sqrt(ylo * yhi)
-            above = _measure_above(v, mid) > t
-            ylo = np.where(above, mid, ylo)
-            yhi = np.where(above, yhi, mid)
-        out = np.where(dead, 0.0, ylo)
-        if np.isfinite(total):
-            out = np.where(t >= total, 0.0, out)
-        return out
-
-    # split points in t: measures at the critical values of |v|
-    criticals = sorted({p.va for p in pieces} | {p.vb for p in pieces})
-    criticals = [c for c in criticals if np.isfinite(c) and c > 0]
-    t_breaks = set()
-    for c in criticals:
-        for yy in (c * (1 - 1e-9), c, c * (1 + 1e-9)):
-            if 0 < yy <= sup:
-                m = float(_measure_above(v, np.array([yy]))[0])
-                if np.isfinite(m) and m > 0 and (
-                        not np.isfinite(total) or m < total * (1 - 1e-9)):
-                    t_breaks.add(m)
-    t_breaks = sorted(t_breaks)
-    merged = []
-    for tb in t_breaks:
-        if not merged or tb > merged[-1] * (1 + 1e-9):
-            merged.append(tb)
-    edges = [0.0] + merged + [total]
+    table = _LevelTable(v, sup)
+    # total measure of the support (finite iff compactly supported)
+    compact = not any(np.isinf(p.b) for p in pieces)
+    total = float(table.mu[-1]) if compact else np.inf
+    # segments are the break intervals; one narrower than 1e-14 relative
+    # (from mu(c) to mu(c-) where c is no plateau) joins the next one
+    cuts = [0.0]
+    for tb in np.unique(table.breaks[:table.dead]):
+        if cuts[-1] * (1 + 1e-14) < tb < total:
+            cuts.append(float(tb))
+    cuts.append(total)
     segs = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if not (b > a * (1 + 1e-12) and b > a):
-            continue
-        segs.append(FuncSegment(a, b, fstar))
-    if np.isfinite(total):
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        k = int(table.bracket(0.5 * (a + b) if np.isfinite(b) else 2.0 * a + 1.0))
+        if k % 2 == 0 and k < table.dead:
+            segs.append(PowerSegment(a, b, [(float(table.levels[k // 2]), 0.0)]))
+        else:
+            segs.append(_RearrangedSegment(a, b, table))
+    if compact:
         segs.append(zero_tail(total))
         tail_bound = np.inf
     else:

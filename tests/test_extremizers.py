@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hpoincare.extremizers import (ExtremizerParams, area_ratio,
-                                   averaged_extremizer,
+from hpoincare.extremizers import (ExtremizerParams, _cumulative_simpson,
+                                   area_ratio, averaged_extremizer,
                                    averaged_extremizer_profile, default_grid,
                                    extremizer_lp_mass, extremizer_profile,
                                    inverse_area_tail, inverse_area_tail_slope,
@@ -199,3 +199,12 @@ class TestSecondOrderMajorant:
         s = np.array([0.3, 2.0])
         want = -s * mf(s) / surface_measure(s, SP3) ** 2
         assert np.allclose(h.derivative(s), want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_cumulative_simpson_exact_for_quadratics(n):
+    h = 0.3
+    s = h * np.arange(n)
+    for k in range(3):
+        got = _cumulative_simpson(s ** k, h)
+        assert np.allclose(got, s ** (k + 1) / (k + 1), rtol=0.0, atol=1e-14)

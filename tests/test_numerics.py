@@ -52,6 +52,12 @@ class TestIntegrate:
         with pytest.raises(QuadratureError, match="NaN"):
             integrate(lambda s: np.where(s > 0.5, np.nan, 1.0), 0.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_value_reported(self):
+        with pytest.raises(QuadratureError, match="returned -inf at") as exc:
+            integrate(lambda s: np.where(s > 0.5, -np.inf, 1.0), 0.0, 1.0)
+        assert float(str(exc.value).rsplit(" ", 1)[1]) > 0.5
+
     def test_nonconvergence_carries_estimate(self):
         cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0, max_subdivisions=2)
         rng = np.random.default_rng(0)

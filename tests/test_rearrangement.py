@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_profile
+from hpoincare.cli import _random_profile
 from hpoincare.geometry import SpaceParams, ball_volume
-from hpoincare.numerics import DomainError
+from hpoincare.numerics import DomainError, integrate
 from hpoincare.profiles import (PowerSegment, RadialProfile, indicator_profile,
                                 zero_tail)
 from hpoincare.rearrangement import (decreasing_rearrangement,
@@ -73,6 +76,32 @@ class TestDecreasingRearrangement:
         vstar = decreasing_rearrangement(prof)
         assert vstar.lp_power(2.0) == pytest.approx(prof.lp_power(2.0), rel=1e-6)
 
+    def test_plateaus_exact(self):
+        # 0.7 on [0, 2), a ramp from 0.2 to 3 on [2, 4), 1.3 on [4, 5.5):
+        # f* falls from 3 to 1.3 on [0, 17/14), stays 1.3 up to 38/14, falls
+        # to 0.7 at 44/14, stays 0.7 up to 72/14 and falls to 0.2 at 5.5
+        prof = RadialProfile([PowerSegment(0, 2, [(0.7, 0.0)]),
+                              PowerSegment(2, 4, [(-2.6, 0.0), (1.4, 1.0)]),
+                              PowerSegment(4, 5.5, [(1.3, 0.0)]),
+                              zero_tail(5.5)])
+        vstar = decreasing_rearrangement(prof)
+        assert np.all(vstar(np.linspace(17 / 14, 38 / 14, 50)[1:-1]) == 1.3)
+        assert np.all(vstar(np.linspace(44 / 14, 72 / 14, 50)[1:-1]) == 0.7)
+        t = np.linspace(0.0, 17 / 14, 20)[:-1]
+        assert np.allclose(vstar(t), 3.0 - 1.4 * t, rtol=1e-13)
+        t = np.linspace(72 / 14, 5.5, 20)[1:-1]
+        assert np.allclose(vstar(t), 0.7 - 1.4 * (t - 72 / 14), rtol=1e-12)
+
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_running_integral_matches_quadrature(self, compact):
+        # the layer-cake primitive against adaptive quadrature of f* itself
+        for seed in range(4):
+            vstar = decreasing_rearrangement(random_profile(seed, compact=compact))
+            for s in (0.3, 2.0, 7.5, 30.0):
+                want = integrate(vstar, 0.0, s,
+                                 breakpoints=[b for b in vstar.breakpoints if b < s])
+                assert vstar.running_integral(s) == pytest.approx(want, rel=1e-9)
+
 
 class TestMaximalFunction:
     def test_indicator_closed_form(self):
@@ -111,6 +140,30 @@ class TestHardy:
     def test_p_validation(self):
         with pytest.raises(DomainError):
             hardy_check(indicator_profile(0.0, 1.0), 1.0)
+
+    def test_lhs_matches_closed_form(self):
+        # For a step function, f** = h + b/s on the k-th step of f*, with
+        # h the k-th largest height and b = (mass before the step) - h *
+        # (start of the step). At p = 3/2 the substitution v = s/(s + b/h),
+        # w = sqrt(v) turns the integral of (h + b/s)^p into h^p (b/h) [F(w)],
+        # F(w) = 2 (-1/w + 3/2 atanh(w) + w / (2 (1 - w^2))); beyond the
+        # support f** = mass/s.
+        p = 1.5
+        prof = _random_profile(3 * 7919)
+        steps = sorted(((seg.terms[0][0], seg.s_hi - seg.s_lo)
+                        for seg in prof.segments if not seg.is_zero()), reverse=True)
+        F = lambda w: 2.0 * (-1.0 / w + 1.5 * math.atanh(w) + 0.5 * w / (1.0 - w * w))
+        (h0, length0), rest = steps[0], steps[1:]
+        total, start, mass = h0 ** p * length0, length0, h0 * length0
+        for h, length in rest:
+            beta = mass / h - start
+            w0, w1 = (math.sqrt(x / (x + beta)) for x in (start, start + length))
+            total += h ** p * beta * (F(w1) - F(w0))
+            start, mass = start + length, mass + h * length
+        total += mass ** p * start ** (1.0 - p) / (p - 1.0)
+        rep = hardy_check(decreasing_rearrangement(prof), p)
+        assert rep.lhs == pytest.approx(total ** (1.0 / p), rel=1e-12)
+        assert rep.lhs == pytest.approx(15.91456955317857, rel=1e-12)
 
     def test_rhs_is_conjugate_multiple(self):
         vstar = indicator_profile(0.0, 1.0)

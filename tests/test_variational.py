@@ -5,7 +5,7 @@ import pytest
 
 from hpoincare.extremizers import ExtremizerParams, select_s0
 from hpoincare.geometry import SpaceParams
-from hpoincare.numerics import DomainError
+from hpoincare.numerics import DomainError, QuadratureError
 from hpoincare.variational import (PoincareParams,
                                    check_inequality, corollary_chain,
                                    grad_norm_geodesic, grad_norm_volume,
@@ -163,6 +163,16 @@ class TestNormsGeodesic:
                 self._n3_p2_mass(u.poly, u.alpha), rel=1e-9)
             assert grad_norm_geodesic(u, sp, 2.0) ** 2 == pytest.approx(
                 self._n3_p2_mass(p1, u.alpha), rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_integrable_test_function_raises(self):
+        # alpha = 1 is below the integrability bound (n-1)/p: at n = 3 the
+        # p = 2 integrand grows like rho^2, at p = 1.5 it overflows
+        u = RadialTestFunction([1, 1], alpha=1)
+        with pytest.raises(QuadratureError):
+            lp_norm_geodesic(u, SpaceParams(3), 2.0)
+        with pytest.raises(QuadratureError, match="integrand returned inf"):
+            lp_norm_geodesic(u, SpaceParams(3), 1.5)
 
 
 class TestNormsVolume:
