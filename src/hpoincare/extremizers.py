@@ -156,7 +156,7 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec,
     Computes, on a log grid, the descending integral of A(r)^(-2) times the
     running integral of v; both cumulative passes use composite Simpson on
     an internally refined log-uniform grid. The result satisfies
-    -(A^2 u')' = v and carries v as its `source`.
+    -(A^2 u')' = v.
     """
     if refine < 1:
         raise ValueError("refine must be at least 1")
@@ -201,7 +201,7 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec,
         np.log(nodes), t_fine, Tv)
     if len(coarse) != grid.points:
         coarse = np.interp(np.log(nodes), t_fine, Tv)
-    prof = sampled_profile(nodes, coarse, nonincreasing=True, source=v)
+    prof = sampled_profile(nodes, coarse, nonincreasing=True)
     prof.fine_nodes = s_fine
     prof.fine_values = Tv
     return prof

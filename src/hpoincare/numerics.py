@@ -7,7 +7,8 @@ in one call of the integrand and counts panel splits against
 integrals have a single tail rule: extend by chunks [B, 8B] until both the
 declared power-law majorant at B and the last chunk's mass are within
 tolerance. `batched_gauss` is a fixed Gauss-Legendre rule over many
-intervals, for cached cumulative grids. Also: bracketed inversion of
+intervals, for the L^p masses of costly callable segments and the
+small-radius panel of the ball volume. Also: bracketed inversion of
 monotone functions and log-spaced grids.
 """
 

@@ -23,12 +23,10 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import geometry
 from .numerics import DEFAULT_QUADRATURE, DomainError, QuadratureError
-from .profiles import (FuncSegment, LogAffineSegment, PowerSegment,
-                       RadialProfile, zero_tail)
+from .profiles import FuncSegment, PowerSegment, RadialProfile, zero_tail
 
 
 @dataclass
@@ -58,7 +56,8 @@ _PIECES = weakref.WeakKeyDictionary()
 
 def _segment_cuts(seg, value_only=False):
     """Interior abscissae where v, or (unless value_only) v', changes sign
-    within the segment."""
+    within the segment: sign changes on a probe grid, all refined at once
+    by the Illinois iteration."""
     lo, hi = seg.s_lo, seg.s_hi
     if np.isinf(hi):
         return []
@@ -72,14 +71,20 @@ def _segment_cuts(seg, value_only=False):
     cuts = []
     for fn in (seg.value,) if value_only else (seg.value, seg.deriv):
         ys = np.asarray(fn(xs), dtype=float)
-        sign_change = np.where(np.diff(np.signbit(ys)))[0]
-        for i in sign_change:
-            try:
-                root = brentq(lambda x: float(fn(np.array([x]))[0]), xs[i], xs[i + 1])
-            except ValueError:
-                continue
-            cuts.append(root)
+        i = np.flatnonzero(np.diff(np.signbit(ys)))
+        if i.size:
+            cuts.extend(_illinois(lambda x, _: fn(x), xs[i], xs[i + 1], ys[i], ys[i + 1], 0.0))
     return sorted(cuts)
+
+
+def _abs_at(seg, a, probe):
+    """|v(a)|; where v(0) is NaN (the 0/0 of a running average), |v(probe)|
+    stands in for it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        va = abs(float(seg.value(np.array([a]))[0]))
+        if np.isnan(va) and a == 0:
+            va = abs(float(seg.value(np.array([probe]))[0]))
+    return va
 
 
 def _monotone_pieces(profile):
@@ -97,14 +102,13 @@ def _monotone_pieces(profile):
         for a, b in zip(edges[:-1], edges[1:]):
             if np.isinf(b):
                 probe = max(2 * a, 1.0)
-                va = abs(float(seg.value(np.array([a if a > 0 else probe * 1e-9]))[0]))
+                va = _abs_at(seg, a, probe * 1e-9)
                 sign = np.sign(float(seg.value(np.array([probe]))[0])) or 1.0
                 pieces.append(_Piece(a, b, seg, sign, va, 0.0))
                 continue
             mid = 0.5 * (a + b)
-            with np.errstate(divide="ignore"):
-                va = abs(float(seg.value(np.array([a if a > 0 else min(b * 1e-12, mid)]))[0]))
-                vb = abs(float(seg.value(np.array([b]))[0]))
+            va = _abs_at(seg, a, min(b * 1e-12, mid))
+            vb = abs(float(seg.value(np.array([b]))[0]))
             sign = np.sign(float(seg.value(np.array([mid]))[0])) or 1.0
             pieces.append(_Piece(a, b, seg, sign, va, vb))
     _PIECES[profile] = pieces
@@ -172,8 +176,6 @@ def _invert_piece(piece, y):
             a0 = sum(c for c, e in terms if e == 0.0)
             b1 = sum(c for c, e in terms if e == 1.0)
             return (v - a0) / b1
-    if isinstance(seg, LogAffineSegment):
-        return np.exp((v - seg.a) / seg.b)
     return _solve_piece(piece, np.asarray(y, dtype=float))
 
 
@@ -426,17 +428,7 @@ def hardy_check(vstar: RadialProfile, p: float,
     return HardyReport(lhs, rhs, lhs / rhs, lhs <= rhs * (1 + 1e-10))
 
 
-class RadializedProfile:
-    """A volume-coordinate profile composed with the ball-volume map,
-    yielding a radial function of the geodesic radius."""
-
-    def __init__(self, vstar: RadialProfile, sp: geometry.SpaceParams):
-        self.vstar = vstar
-        self.sp = sp
-
-    def __call__(self, rho):
-        return self.vstar(geometry.ball_volume(rho, self.sp))
-
-
-def radialize(vstar: RadialProfile, sp: geometry.SpaceParams) -> RadializedProfile:
-    return RadializedProfile(vstar, sp)
+def radialize(vstar: RadialProfile, sp: geometry.SpaceParams):
+    """vstar composed with the ball-volume map: a radial function of the
+    geodesic radius."""
+    return lambda rho: vstar(geometry.ball_volume(rho, sp))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extremizers, numerics
-from .geometry import SpaceParams, surface_measure, surface_measure_slope
+from .geometry import SpaceParams, surface_measure
 from .numerics import DEFAULT_QUADRATURE, DomainError, GridSpec, QuadratureConfig
 from .profiles import RadialProfile
 
@@ -214,26 +214,6 @@ def grad_norm_volume(v: RadialProfile, sp: SpaceParams, p: float,
     total = sum(v.segment_integral(
         seg, lambda s, seg=seg: (surface_measure(s, sp) * np.abs(seg.deriv(s))) ** p, p, cfg)
         for seg in v.segments if not seg.is_zero())
-    return total ** (1.0 / p)
-
-
-def laplacian_norm_volume(v: RadialProfile, sp: SpaceParams, p: float,
-                          cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """L^p norm of the Laplacian of a volume-coordinate profile.
-
-    If the profile carries its preimage under the negative Laplacian
-    (`source`), the norm is taken from that profile exactly.
-    """
-    if v.source is not None:
-        return lp_norm_volume(v.source, p, cfg)
-
-    def integrand(s, seg):
-        a = surface_measure(s, sp)
-        lap = a * a * seg.deriv2(s) + 2.0 * a * surface_measure_slope(s, sp) * seg.deriv(s)
-        return np.abs(lap) ** p
-
-    total = sum(v.segment_integral(seg, lambda s, seg=seg: integrand(s, seg), p, cfg)
-                for seg in v.segments if not seg.is_zero())
     return total ** (1.0 / p)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hpoincare.numerics import QuadratureError
-from hpoincare.profiles import (FuncSegment, LogAffineSegment, PowerSegment,
-                                RadialProfile, SampledSegment, constant_profile,
+from hpoincare.profiles import (FuncSegment, PowerSegment, RadialProfile,
+                                SampledSegment, constant_profile,
                                 indicator_profile, sampled_profile, zero_tail)
 
 
@@ -25,12 +25,7 @@ class TestSegments:
 
     def test_power_primitive_log_case(self):
         seg = PowerSegment(1, 100, [(2.0, -1.0)])
-        assert seg.primitive(1.0, math.e) == pytest.approx(2.0, rel=1e-14)
-
-    def test_log_affine(self):
-        seg = LogAffineSegment(1, 10, 1.0, 2.0)
-        assert seg.value(np.array([math.e]))[0] == pytest.approx(3.0)
-        assert seg.deriv(np.array([2.0]))[0] == pytest.approx(1.0)
+        assert seg.primitive_from_lo(np.array([math.e]))[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_sampled_matches_smooth_function(self):
         nodes = np.geomspace(0.1, 100.0, 400)
@@ -76,6 +71,13 @@ class TestRadialProfile:
         # integral over [0, 3]: 1 + 2(sqrt(3)-1)
         assert prof.running_integral(np.array([3.0]))[0] == pytest.approx(
             1 + 2 * (math.sqrt(3) - 1), rel=1e-12)
+
+    def test_running_integral_sampled(self):
+        # flat head 1/1.1 on [0, 0.1), then the interpolant of 1/(1 + s)
+        nodes = np.geomspace(0.1, 100.0, 400)
+        prof = sampled_profile(nodes, 1.0 / (1.0 + nodes))
+        assert prof.running_integral(50.0) == pytest.approx(
+            0.1 / 1.1 + math.log(51 / 1.1), rel=1e-8)
 
     def test_lp_power_closed_forms(self):
         # plateau + power + tail: the log-divergent exponent case

@@ -6,10 +6,10 @@ import pytest
 from conftest import random_profile
 from hpoincare.cli import _random_profile
 from hpoincare.geometry import SpaceParams, ball_volume
-from hpoincare.numerics import DomainError, integrate
+from hpoincare.numerics import DomainError, QuadratureError, integrate
 from hpoincare.profiles import (PowerSegment, RadialProfile, indicator_profile,
                                 zero_tail)
-from hpoincare.rearrangement import (decreasing_rearrangement,
+from hpoincare.rearrangement import (_segment_cuts, decreasing_rearrangement,
                                      distribution_function, hardy_check,
                                      maximal_function, radialize)
 
@@ -37,6 +37,19 @@ class TestDistributionFunction:
         with pytest.raises(DomainError):
             distribution_function(tent_profile(), 0.0)
 
+    def test_cuts_of_a_quadratic(self):
+        # v = 0.5 + 2s - s^2: v' = 0 at 1, v = 0 at 1 + sqrt(1.5); |v| > t on
+        # (1 - r, 1 + r) with r = sqrt(1.5 - t) (clipped to [0, 3]), and
+        # -v > t beyond 1 + sqrt(1.5 + t)
+        seg = PowerSegment(0, 3, [(0.5, 0.0), (2.0, 1.0), (-1.0, 2.0)])
+        assert np.allclose(_segment_cuts(seg), [1.0, 1.0 + math.sqrt(1.5)],
+                           rtol=0, atol=1e-14)
+        t = np.array([0.3, 1.0, 1.4, 2.0])
+        r = np.sqrt(np.maximum(1.5 - t, 0.0))
+        want = (np.minimum(1 + r, 3) - np.maximum(1 - r, 0) + 3 - (1 + np.sqrt(1.5 + t)))
+        got = distribution_function(RadialProfile([seg, zero_tail(3.0)]), t)
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+
     def test_infinite_support_power_tail(self):
         prof = random_profile(7, compact=False)
         t = np.array([1e-3, 0.1])
@@ -49,6 +62,25 @@ class TestDecreasingRearrangement:
         vstar = decreasing_rearrangement(tent_profile())
         t = np.linspace(0.05, 1.95, 20)
         assert np.allclose(vstar(t), 1 - t / 2, atol=1e-9)
+
+    def test_piece_from_zero_starts_at_v0(self):
+        # an affine piece rising from v(0) to v(b-) on [0, b), then a lower
+        # constant: f* falls from v(b-) to v(0) on [0, b), with no plateau
+        prof = random_profile(27)
+        rise, step = prof.segments[:2]
+        v0 = float(rise.value(np.array([0.0]))[0])
+        vb = float(rise.value(np.array([rise.s_hi]))[0])
+        vstar = decreasing_rearrangement(prof)
+        plateaus = [seg.terms[0][0] for seg in vstar.segments
+                    if isinstance(seg, PowerSegment) and not seg.is_zero()]
+        assert not [c for c in plateaus if step.terms[0][0] < c < vb]
+        assert vstar(np.nextafter(rise.s_hi, 0.0)) == pytest.approx(v0, rel=1e-13)
+
+    def test_unbounded_profile_rejected(self):
+        prof = RadialProfile([PowerSegment(0, 1, [(1.0, -0.5)]),
+                              PowerSegment(1, 2, [(0.5, 0.0)]), zero_tail(2.0)])
+        with pytest.raises(QuadratureError, match="unbounded"):
+            decreasing_rearrangement(prof)
 
     def test_idempotent_on_nonincreasing(self):
         prof = indicator_profile(0.0, 2.0)
@@ -164,6 +196,15 @@ class TestHardy:
         rep = hardy_check(decreasing_rearrangement(prof), p)
         assert rep.lhs == pytest.approx(total ** (1.0 / p), rel=1e-12)
         assert rep.lhs == pytest.approx(15.91456955317857, rel=1e-12)
+
+    def test_power_tail_closed_form(self):
+        # 2 on [0, 1), 2 s^-1.5 beyond: ||f||_3^3 = 72/7, and the running
+        # average 2, then (6 - 4 s^-0.5)/s, has ||f**||_3^3 = 146.4/7
+        prof = RadialProfile([PowerSegment(0, 1, [(2.0, 0.0)]),
+                              PowerSegment(1, np.inf, [(2.0, -1.5)])], tail_bound=1.5)
+        rep = hardy_check(decreasing_rearrangement(prof), 3.0)
+        assert rep.lhs == pytest.approx((146.4 / 7) ** (1 / 3), rel=1e-9)
+        assert rep.rhs == pytest.approx(1.5 * (72 / 7) ** (1 / 3), rel=1e-9)
 
     def test_rhs_is_conjugate_multiple(self):
         vstar = indicator_profile(0.0, 1.0)
