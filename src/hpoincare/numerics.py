@@ -8,8 +8,10 @@ integrals have a single tail rule: extend by chunks [B, 8B] until both the
 declared power-law majorant at B and the last chunk's mass are within
 tolerance. `batched_gauss` is a fixed Gauss-Legendre rule over many
 intervals, for the L^p masses of costly callable segments and the
-small-radius panel of the ball volume. Also: bracketed inversion of
-monotone functions and log-spaced grids.
+small-radius panel of the ball volume. `illinois` is the one bracketed
+root-finder, a safeguarded regula falsi vectorized over many problems; it
+serves the rearrangement and `invert_monotone`. Also: log-spaced grids.
+The module, like the package, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 class DomainError(ValueError):
@@ -198,6 +199,11 @@ def _adaptive(fv, a, b, breakpoints, cfg, budget):
     return float(np.sum(totals)), err_total
 
 
+# tail chunks in a row whose masses grow before the tail is declared
+# non-decaying; integrable integrands in the test suite grow at most once
+_GROWING_CHUNKS = 3
+
+
 def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
               breakpoints=(), tail_decay: float | None = None) -> float:
     """Integrate f over [a, b] by adaptive G10/K21 Gauss-Kronrod bisection.
@@ -215,7 +221,8 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 
     Raises QuadratureError, with the best estimate and its error bound, on a
     NaN or infinite value of f, when the splits run out, or when the tail
-    does not converge.
+    does not converge; a tail whose chunk masses grow three times in a row
+    is reported as missing decay.
     """
     if not (a < b):
         raise ValueError("need a < b")
@@ -233,6 +240,7 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
         B = max([2.0 * abs(a), 1.0, a + 1.0] + [2.0 * c for c in bks if c > a])
         total, err = _adaptive(fv, a, B, bks, cfg, budget)
         part = total  # [a, B] counts as the first chunk
+        growing = 0  # chunks in a row that outweighed the one before
         for _ in range(300):
             if not np.isfinite(total):
                 break
@@ -240,9 +248,16 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
             majorant = abs(float(fv(np.array([B]))[0])) * B / (tail_decay - 1.0)
             if majorant <= tol and abs(part) <= tol:
                 return total
+            prev = part
             part, e = _adaptive(fv, B, 8.0 * B, (), cfg, budget)
             total += part
             err += e
+            growing = growing + 1 if abs(part) > abs(prev) else 0
+            if growing == _GROWING_CHUNKS:
+                raise QuadratureError(
+                    f"integrand does not decay like s^-{tail_decay:g}: the tail chunk "
+                    f"masses grew {growing} times in a row, to {abs(part):.3g} on "
+                    f"[{B:g}, {8.0 * B:g}]", estimate=total, error_bound=err)
             B *= 8.0
     raise QuadratureError("tail truncation did not converge",
                           estimate=total, error_bound=err)
@@ -263,8 +278,59 @@ def batched_gauss(fn, a, b, order: int = 16) -> np.ndarray:
     return half * (vals * w[None, :]).sum(axis=1)
 
 
+# a bisection at least every fourth step takes an ln-bracket of width 80
+# down to float resolution in under 250 steps
+_MAX_ITER = 250
+
+
+def illinois(g, lo, hi, glo, ghi, ftol):
+    """Roots of g on the brackets [lo, hi], vectorized over problems.
+
+    g(x, i) returns the residuals of the problems with indices i at x;
+    glo and ghi are the residuals at the bracket ends and must differ in
+    sign (a problem whose ends do not is solved by the end with the smaller
+    residual). Each step is regula falsi that halves the residual kept at
+    an end retained twice in a row (Illinois), or a bisection when three
+    steps did not halve the bracket, so rounding noise in g cannot stall
+    it. A problem stops once |g| <= ftol or its bracket is no wider than
+    4 ulp of max(1, |lo|, |hi|), the resolution of x where x is a logarithm.
+    """
+    lo, hi, glo, ghi, ftol = (np.array(a, dtype=float) for a in
+                              np.broadcast_arrays(lo, hi, glo, ghi, ftol))
+    x = np.where(np.abs(glo) <= np.abs(ghi), lo, hi)
+    xtol = 2 * np.spacing(np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+    idx = np.flatnonzero((np.sign(glo) * np.sign(ghi) < 0) & (hi - lo > 2 * xtol)
+                         & (np.abs(glo) > ftol) & (np.abs(ghi) > ftol))
+    lo, hi, glo, ghi, ftol, xtol = (a[idx] for a in (lo, hi, glo, ghi, ftol, xtol))
+    side = np.zeros(idx.size)  # +1: lo moved last, -1: hi moved last
+    w1 = w2 = w3 = np.full(idx.size, np.inf)  # bracket widths 1-3 steps back
+    for _ in range(_MAX_ITER):
+        if not idx.size:
+            break
+        w = hi - lo
+        xn = (lo * ghi - hi * glo) / (ghi - glo)
+        xn = np.where(w > 0.5 * w3, 0.5 * (lo + hi), xn)
+        # a step onto an end (a root within resolution of it) moves by xtol
+        # instead, which closes the bracket on the next test
+        xn = np.clip(xn, lo + xtol, hi - xtol)
+        gx = g(xn, idx)
+        x[idx] = xn
+        right = np.sign(gx) == np.sign(glo)  # the root lies right of xn
+        ghi = np.where(right & (side == 1), 0.5 * ghi, ghi)
+        glo = np.where(~right & (side == -1), 0.5 * glo, glo)
+        lo, glo = np.where(right, xn, lo), np.where(right, gx, glo)
+        hi, ghi = np.where(right, hi, xn), np.where(right, ghi, gx)
+        side = np.where(right, 1.0, -1.0)
+        w3, w2, w1 = w2, w1, w
+        live = (np.abs(gx) > ftol) & (hi - lo > 2 * xtol)
+        idx, lo, hi, glo, ghi, ftol, xtol, side, w1, w2, w3 = (
+            a[live] for a in (idx, lo, hi, glo, ghi, ftol, xtol, side, w1, w2, w3))
+    return x
+
+
 def invert_monotone(g, y: float, bracket, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Solve g(x) = y for strictly increasing g on the given bracket."""
+    """Solve g(x) = y for strictly increasing scalar g on the given bracket,
+    by the Illinois iteration run to the resolution of the bracket."""
     lo, hi = bracket
     if not (lo < hi):
         raise BracketError("bracket must satisfy lo < hi")
@@ -275,9 +341,10 @@ def invert_monotone(g, y: float, bracket, cfg: QuadratureConfig = DEFAULT_QUADRA
         return lo
     if ghi == y:
         return hi
-    x = brentq(lambda s: g(s) - y, lo, hi, xtol=1e-15 * (1.0 + abs(hi)), rtol=8.9e-16)
+    shifted = lambda xs, _: np.array([g(float(xi)) - y for xi in xs])
+    x = float(illinois(shifted, [lo], [hi], [glo - y], [ghi - y], 0.0)[0])
     resid = abs(g(x) - y)
     if resid > max(cfg.abs_tol, cfg.rel_tol * abs(y)) * 10.0:
         raise QuadratureError("monotone inversion did not reach tolerance", estimate=x,
                               error_bound=resid)
-    return float(x)
+    return x

@@ -2,10 +2,11 @@
 
 A RadialProfile partitions [0, inf) into tagged segments: sums of power
 terms (covering constants, pure powers and affine pieces), log-grid samples
-with monotone interpolation, and lazily evaluated callables (used by the
-rearrangement machinery). Every segment integrates itself through
-`primitive_from_lo`: in closed form for power sums (and for pieces of a
-decreasing rearrangement), by adaptive quadrature otherwise.
+with monotone piecewise-cubic (PCHIP) interpolation in ln s, and lazily
+evaluated callables (used by the rearrangement machinery). Every segment
+integrates itself through `primitive_from_lo`: in closed form for power sums
+(and for pieces of a decreasing rearrangement), by adaptive quadrature
+otherwise.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import numerics
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
@@ -168,6 +168,51 @@ def _fd_log_derivatives(w, h):
     return w1, w2
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's shape-preserving three-point end slope (Numerical Computing
+    with MATLAB, 3.6) from the first two steps h and secants m."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
+
+
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant of (x, y), at least
+    three nodes (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980).
+
+    Interior slopes are weighted harmonic means of the adjacent secants,
+    zero where those differ in sign or vanish. Coefficients and evaluation
+    follow scipy's PchipInterpolator operation for operation, so the two
+    agree to rounding; beyond the nodes the end cubics extrapolate.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.zeros_like(y)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        keep = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][keep] = 1.0 / whmean[keep]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._x = x
+        self._c = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self._x, x, side="right") - 1, 0, len(self._x) - 2)
+        u = x - self._x[i]
+        c3, c2, c1, c0 = self._c[:, i]
+        return c0 + c1 * u + c2 * (u * u) + c3 * (u * u * u)
+
+
 class SampledSegment(Segment):
     """Log-grid samples with monotone piecewise-cubic interpolation."""
 
@@ -185,10 +230,10 @@ class SampledSegment(Segment):
         h = self._t[1] - self._t[0]
         if not np.allclose(np.diff(self._t), h, rtol=1e-8):
             raise ValueError("sampled nodes must be log-uniform")
-        self._interp = PchipInterpolator(self._t, values, extrapolate=True)
+        self._interp = _Pchip(self._t, values)
         w1, w2 = _fd_log_derivatives(values, h)
-        self._w1 = PchipInterpolator(self._t, w1, extrapolate=True)
-        self._w2 = PchipInterpolator(self._t, w2, extrapolate=True)
+        self._w1 = _Pchip(self._t, w1)
+        self._w2 = _Pchip(self._t, w2)
 
     def value(self, s):
         s = np.asarray(s, dtype=float)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .numerics import DEFAULT_QUADRATURE, DomainError, QuadratureError
+from .numerics import DEFAULT_QUADRATURE, DomainError, QuadratureError, illinois
 from .profiles import FuncSegment, PowerSegment, RadialProfile, zero_tail
 
 
@@ -46,9 +46,6 @@ class _Piece:
 
 
 _PROBE = 129
-# a bisection at least every fourth step takes an ln-bracket of width 80
-# down to float resolution in under 250 steps
-_MAX_ITER = 250
 
 # monotone pieces of each profile, computed once per profile
 _PIECES = weakref.WeakKeyDictionary()
@@ -73,7 +70,7 @@ def _segment_cuts(seg, value_only=False):
         ys = np.asarray(fn(xs), dtype=float)
         i = np.flatnonzero(np.diff(np.signbit(ys)))
         if i.size:
-            cuts.extend(_illinois(lambda x, _: fn(x), xs[i], xs[i + 1], ys[i], ys[i + 1], 0.0))
+            cuts.extend(illinois(lambda x, _: fn(x), xs[i], xs[i + 1], ys[i], ys[i + 1], 0.0))
     return sorted(cuts)
 
 
@@ -115,51 +112,6 @@ def _monotone_pieces(profile):
     return pieces
 
 
-def _illinois(g, lo, hi, glo, ghi, ftol):
-    """Roots of g on the brackets [lo, hi], vectorized over problems.
-
-    g(x, i) returns the residuals of the problems with indices i at x;
-    glo and ghi are the residuals at the bracket ends and must differ in
-    sign (a problem whose ends do not is solved by the end with the smaller
-    residual). Each step is regula falsi that halves the residual kept at
-    an end retained twice in a row (Illinois), or a bisection when three
-    steps did not halve the bracket, so rounding noise in g cannot stall
-    it. A problem stops once |g| <= ftol or its bracket is no wider than
-    4 ulp of max(1, |lo|, |hi|), the resolution of a logarithm.
-    """
-    lo, hi, glo, ghi, ftol = (np.array(a, dtype=float) for a in
-                              np.broadcast_arrays(lo, hi, glo, ghi, ftol))
-    x = np.where(np.abs(glo) <= np.abs(ghi), lo, hi)
-    xtol = 2 * np.spacing(np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
-    idx = np.flatnonzero((np.sign(glo) * np.sign(ghi) < 0) & (hi - lo > 2 * xtol)
-                         & (np.abs(glo) > ftol) & (np.abs(ghi) > ftol))
-    lo, hi, glo, ghi, ftol, xtol = (a[idx] for a in (lo, hi, glo, ghi, ftol, xtol))
-    side = np.zeros(idx.size)  # +1: lo moved last, -1: hi moved last
-    w1 = w2 = w3 = np.full(idx.size, np.inf)  # bracket widths 1-3 steps back
-    for _ in range(_MAX_ITER):
-        if not idx.size:
-            break
-        w = hi - lo
-        xn = (lo * ghi - hi * glo) / (ghi - glo)
-        xn = np.where(w > 0.5 * w3, 0.5 * (lo + hi), xn)
-        # a step onto an end (a root within resolution of it) moves by xtol
-        # instead, which closes the bracket on the next test
-        xn = np.clip(xn, lo + xtol, hi - xtol)
-        gx = g(xn, idx)
-        x[idx] = xn
-        right = np.sign(gx) == np.sign(glo)  # the root lies right of xn
-        ghi = np.where(right & (side == 1), 0.5 * ghi, ghi)
-        glo = np.where(~right & (side == -1), 0.5 * glo, glo)
-        lo, glo = np.where(right, xn, lo), np.where(right, gx, glo)
-        hi, ghi = np.where(right, hi, xn), np.where(right, ghi, gx)
-        side = np.where(right, 1.0, -1.0)
-        w3, w2, w1 = w2, w1, w
-        live = (np.abs(gx) > ftol) & (hi - lo > 2 * xtol)
-        idx, lo, hi, glo, ghi, ftol, xtol, side, w1, w2, w3 = (
-            a[live] for a in (idx, lo, hi, glo, ghi, ftol, xtol, side, w1, w2, w3))
-    return x
-
-
 def _invert_piece(piece, y):
     """Abscissae where |v| = y inside the piece (y within the value range)."""
     seg, sign = piece.seg, piece.sign
@@ -197,8 +149,8 @@ def _solve_piece(piece, y):
     resid = lambda x, i: absv(np.exp(x)) - y[i]
     every = np.arange(y.size)
     lo, hi = np.log(lo), np.log(hi)
-    return np.exp(_illinois(resid, lo, hi, resid(lo, every), resid(hi, every),
-                            4 * np.spacing(y)))
+    return np.exp(illinois(resid, lo, hi, resid(lo, every), resid(hi, every),
+                           4 * np.spacing(y)))
 
 
 def _superlevel_span(piece, y):
@@ -287,9 +239,9 @@ class _LevelTable:
         if np.any(ramp):
             j, tr = k[ramp] // 2, t[ramp]
             resid = lambda x, i: _measure_above(self.source, np.exp(x)) - tr[i]
-            x = _illinois(resid, np.log(self.levels[j + 1]),
-                          np.log(np.nextafter(self.levels[j], 0.0)),
-                          self.mu[j + 1] - tr, self.mu_below[j] - tr, 4 * np.spacing(tr))
+            x = illinois(resid, np.log(self.levels[j + 1]),
+                         np.log(np.nextafter(self.levels[j], 0.0)),
+                         self.mu[j + 1] - tr, self.mu_below[j] - tr, 4 * np.spacing(tr))
             out[ramp] = np.exp(x)
         return out
 
@@ -347,11 +299,13 @@ def decreasing_rearrangement(v: RadialProfile) -> RadialProfile:
     # total measure of the support (finite iff compactly supported)
     compact = not any(np.isinf(p.b) for p in pieces)
     total = float(table.mu[-1]) if compact else np.inf
-    # segments are the break intervals; one narrower than 1e-14 relative
-    # (from mu(c) to mu(c-) where c is no plateau) joins the next one
+    # segments are the break intervals; one no wider than 1e-12 of the
+    # largest finite break (rounding noise between mu(c) and mu(c-) where c
+    # is no plateau, also at s = 0) joins the next one, the last the one before
+    gap = 1e-12 * table.breaks[table.dead - 1]
     cuts = [0.0]
     for tb in np.unique(table.breaks[:table.dead]):
-        if cuts[-1] * (1 + 1e-14) < tb < total:
+        if cuts[-1] + gap < tb < total - gap:
             cuts.append(float(tb))
     cuts.append(total)
     segs = []

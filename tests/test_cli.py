@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hpoincare
 from hpoincare.cli import main
 
 
@@ -111,3 +115,41 @@ class TestOutputFile:
         code = main(["constant", "--format", "csv", "--output", str(path)])
         data = path.read_bytes()
         assert code == 0 and b"\r" not in data and data.endswith(b"\n")
+
+
+_NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import hpoincare.cli as cli
+from hpoincare import profiles
+
+built = []
+init = profiles.SampledSegment.__init__
+
+def counting_init(self, *args):
+    built.append(1)
+    init(self, *args)
+
+profiles.SampledSegment.__init__ = counting_init
+codes = [cli.main(["constant", "--n", "3", "--m", "2", "--p", "2"]),
+         cli.main(["sharpness-sweep", "--n", "3", "--m", "2", "--p", "2",
+                   "--log-ratios", "10", "--format", "csv"])]
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"codes": codes, "sampled": len(built), "scipy": loaded}))
+"""
+
+
+class TestStartUp:
+    def test_runs_without_scipy(self):
+        # the constant and an m = 2 sweep, whose inverse-Laplacian iterates
+        # are sampled profiles, in a process where scipy cannot be imported
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hpoincare.__file__)))
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert rec["codes"] == [0, 0]
+        assert rec["sampled"] > 0
+        assert rec["scipy"] == []

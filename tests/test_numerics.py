@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from hpoincare.numerics import (BracketError, GridSpec, QuadratureConfig,
-                                QuadratureError, batched_gauss, integrate,
-                                invert_monotone, log_grid)
+                                QuadratureError, batched_gauss, illinois,
+                                integrate, invert_monotone, log_grid)
 
 
 class TestIntegrate:
@@ -44,6 +46,13 @@ class TestIntegrate:
         val = integrate(lambda s: (s - 2.0) ** 2 / s ** 4, 1.0, np.inf, tail_decay=2.0)
         assert val == pytest.approx(1.0 / 3.0, rel=1e-10)
 
+    def test_growing_tail_named(self):
+        # the chunk masses of s on [1, inf) grow by 64 per chunk: reported
+        # as missing decay, long before the split budget runs out
+        with pytest.raises(QuadratureError, match="does not decay like s\\^-2") as exc:
+            integrate(lambda s: s, 1.0, np.inf, tail_decay=2.0)
+        assert exc.value.estimate > 0
+
     def test_semi_infinite_requires_decay(self):
         with pytest.raises(ValueError):
             integrate(lambda s: s ** -2.0, 1.0, np.inf)
@@ -79,6 +88,18 @@ class TestInvertMonotone:
     def test_cubic(self):
         x = invert_monotone(lambda x: x ** 3, 8.0, (0.0, 10.0))
         assert x == pytest.approx(2.0, rel=1e-12)
+
+    def test_scalar_function(self):
+        # g is called with one float at a time
+        assert invert_monotone(math.exp, 5.0, (0.0, 3.0)) == pytest.approx(math.log(5.0),
+                                                                         rel=1e-14)
+
+    def test_illinois_vectorized(self):
+        # cube roots of several targets in one call, each to the resolution
+        # of the bracket [0, 2]: 4 ulp of 2
+        c = np.array([0.001, 0.5, 2.0, 7.9])
+        x = illinois(lambda x, i: x ** 3 - c[i], 0.0, 2.0, -c, 8.0 - c, 0.0)
+        assert np.all(np.abs(x - np.cbrt(c)) <= 4 * np.spacing(2.0))
 
     def test_outside_bracket(self):
         with pytest.raises(BracketError):

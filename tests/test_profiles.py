@@ -5,7 +5,7 @@ import pytest
 
 from hpoincare.numerics import QuadratureError
 from hpoincare.profiles import (FuncSegment, PowerSegment, RadialProfile,
-                                SampledSegment, constant_profile,
+                                SampledSegment, _Pchip, constant_profile,
                                 indicator_profile, sampled_profile, zero_tail)
 
 
@@ -122,3 +122,46 @@ class TestRadialProfile:
     def test_breakpoints(self):
         prof = indicator_profile(1.0, 2.0)
         assert prof.breakpoints == (1.0, 2.0)
+
+
+class TestPchip:
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(5)
+        t = np.log(np.geomspace(1e-3, 1e4, 40))
+        yield t, np.cumsum(rng.uniform(0.0, 1.0, t.size))  # monotone
+        yield t, rng.normal(size=t.size)  # sign changes of the secants
+        x = np.sort(rng.uniform(-3.0, 3.0, 25))
+        y = rng.normal(size=x.size)
+        y[5:9] = y[5]  # a flat run
+        yield x, y
+        yield np.array([0.0, 1.0, 3.0]), np.array([2.0, -1.0, 4.0])
+        # end slope 4 from the three-point rule, clamped to three secants
+        yield np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, -4.0, -3.0])
+
+    def test_matches_scipy(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        for x, y in self._cases():
+            # inside the grid, and beyond it where the end cubics extrapolate
+            q = np.concatenate([x, np.linspace(x[0] - 1.0, x[-1] + 1.0, 1001)])
+            want = interpolate.PchipInterpolator(x, y, extrapolate=True)(q)
+            assert np.all(np.abs(_Pchip(x, y)(q) - want) <= 1e-15 * np.abs(want))
+
+    def test_monotone_data_no_overshoot(self):
+        # a staircase with steep and flat steps: each interval stays within
+        # its two samples and the interpolant never decreases
+        x = np.arange(10.0)
+        y = np.array([0.0, 0.0, 0.1, 5.0, 5.0, 5.2, 9.0, 9.0, 9.0, 12.0])
+        f = _Pchip(x, y)
+        for i in range(9):
+            vals = f(np.linspace(x[i], x[i + 1], 201))
+            assert np.all(vals >= y[i]) and np.all(vals <= y[i + 1])
+            assert np.all(np.diff(vals) >= 0.0)
+
+    def test_zero_slope_at_extremum(self):
+        x = np.array([0.0, 1.0, 2.5, 3.0, 4.0])
+        y = np.array([0.0, 2.0, 3.0, 1.0, 0.5])
+        f = _Pchip(x, y)
+        h = 1e-6
+        assert abs(f(2.5 + h) - 3.0) < 1e-10 and abs(f(2.5 - h) - 3.0) < 1e-10
+        assert np.all(f(np.linspace(1.0, 3.0, 401)) <= 3.0)

@@ -97,6 +97,21 @@ class TestDecreasingRearrangement:
             scale = np.maximum(mu_orig, 1e-12)
             assert np.all(np.abs(mu_orig - mu_star) / scale <= 1e-7)
 
+    def test_no_sliver_segments(self):
+        # break intervals a few ulp wide (rounding noise of mu, most at
+        # s = 0 below sup) join a neighbour, and f* stays equimeasurable
+        for seed in range(50):
+            prof = random_profile(seed)
+            vstar = decreasing_rearrangement(prof)
+            support = vstar.support_end()
+            widths = [seg.s_hi - seg.s_lo for seg in vstar.segments[:-1]]
+            assert min(widths) > 1e-12 * support, seed
+            sup = float(np.max(prof(np.linspace(1e-6, 13, 2000))))
+            levels = np.geomspace(sup * 1e-2, sup * 0.995, 12)
+            mu = distribution_function(prof, levels)
+            assert np.all(np.abs(distribution_function(vstar, levels) - mu)
+                          <= 1e-8 * np.maximum(mu, 1e-8)), seed
+
     def test_nonincreasing_output(self):
         vstar = decreasing_rearrangement(random_profile(3))
         t = np.linspace(1e-4, 15, 500)

@@ -175,6 +175,14 @@ class TestNormsGeodesic:
             lp_norm_geodesic(u, SpaceParams(3), 1.5)
 
 
+    def test_non_integrable_p2_names_missing_decay(self):
+        # at p = 2 the integrand stays finite and grows like rho^2: the
+        # growing tail chunks are reported, not the split budget
+        u = RadialTestFunction([1, 1], alpha=1)
+        with pytest.raises(QuadratureError, match="does not decay"):
+            lp_norm_geodesic(u, SpaceParams(3), 2.0)
+
+
 class TestNormsVolume:
     def test_lp_volume_matches_geodesic(self):
         # indicator of the ball of unit volume has L^p norm 1 in both coordinates
