@@ -198,6 +198,19 @@ def _sup_value(profile):
     return max([max(p.va, p.vb) for p in _monotone_pieces(profile)], default=0.0)
 
 
+def _occupied(pieces, levels):
+    """Which break intervals of a level table have positive measure, from
+    the pieces alone: the plateau at c_j (interval 2j) iff a piece is
+    constant at c_j, the ramp below it (interval 2j + 1) iff a nonconstant
+    piece spans [c_j+1, c_j]."""
+    lo = np.array([min(p.va, p.vb) for p in pieces])[:, None]
+    hi = np.array([max(p.va, p.vb) for p in pieces])[:, None]
+    flat = lo == hi
+    plateau = np.any(flat & (lo == levels[:-1]), axis=0)
+    ramp = np.any(~flat & (lo <= levels[1:]) & (hi >= levels[:-1]), axis=0)
+    return np.column_stack([plateau, ramp]).ravel()
+
+
 class _LevelTable:
     """f*(t) = inf{y : mu(y) <= t} of a profile v, from mu at the critical
     values c_0 = sup > c_1 > ... > c_K = floor of |v| (the ends of its
@@ -299,22 +312,22 @@ def decreasing_rearrangement(v: RadialProfile) -> RadialProfile:
     # total measure of the support (finite iff compactly supported)
     compact = not any(np.isinf(p.b) for p in pieces)
     total = float(table.mu[-1]) if compact else np.inf
-    # segments are the break intervals; one no wider than 1e-12 of the
-    # largest finite break (rounding noise between mu(c) and mu(c-) where c
-    # is no plateau, also at s = 0) joins the next one, the last the one before
-    gap = 1e-12 * table.breaks[table.dead - 1]
-    cuts = [0.0]
-    for tb in np.unique(table.breaks[:table.dead]):
-        if cuts[-1] + gap < tb < total - gap:
-            cuts.append(float(tb))
-    cuts.append(total)
+    # one segment per break interval of positive measure; an empty one
+    # (its width rounding noise of mu) joins the segment after it, and the
+    # last segment runs to the end of the support
+    keep = np.flatnonzero(_occupied(pieces, table.levels)
+                          & (table.breaks[:table.dead] < total))
     segs = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        k = int(table.bracket(0.5 * (a + b) if np.isfinite(b) else 2.0 * a + 1.0))
-        if k % 2 == 0 and k < table.dead:
+    a = 0.0
+    for i, k in enumerate(keep):
+        b = float(table.breaks[k + 1]) if i + 1 < keep.size else total
+        if not a < b:
+            continue
+        if k % 2 == 0:
             segs.append(PowerSegment(a, b, [(float(table.levels[k // 2]), 0.0)]))
         else:
             segs.append(_RearrangedSegment(a, b, table))
+        a = b
     if compact:
         segs.append(zero_tail(total))
         tail_bound = np.inf

@@ -47,8 +47,8 @@ class TestIntegrate:
         assert val == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_growing_tail_named(self):
-        # the chunk masses of s on [1, inf) grow by 64 per chunk: reported
-        # as missing decay, long before the split budget runs out
+        # the chunk masses of s on [1, inf) grow by 64 per chunk until the
+        # total overflows: the failure is reported as missing decay
         with pytest.raises(QuadratureError, match="does not decay like s\\^-2") as exc:
             integrate(lambda s: s, 1.0, np.inf, tail_decay=2.0)
         assert exc.value.estimate > 0

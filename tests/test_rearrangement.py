@@ -112,6 +112,28 @@ class TestDecreasingRearrangement:
             assert np.all(np.abs(distribution_function(vstar, levels) - mu)
                           <= 1e-8 * np.maximum(mu, 1e-8)), seed
 
+    def test_narrow_top_step(self):
+        # plateaus of width 1e-10, on top and just below a ramp: each is kept
+        # as a segment of its own, however narrow against the support
+        w = 1e-10
+        steps = RadialProfile([PowerSegment(0, 500, [(1.0, 0.0)]),
+                               PowerSegment(500, 500 + w, [(100.0, 0.0)]),
+                               PowerSegment(500 + w, 1000, [(1.0, 0.0)]), zero_tail(1000.0)])
+        ramp = RadialProfile([PowerSegment(0, 1, [(3.0, 0.0), (-1.0, 1.0)]),
+                              PowerSegment(1, 1 + w, [(2.5, 0.0)]),
+                              PowerSegment(1 + w, 2, [(1.0, 0.0)]), zero_tail(2.0)])
+        # integrals of |v|^4, with the step widths as stored
+        w_steps, w_ramp = (500 + w) - 500, (1 + w) - 1
+        mass = {steps: 1000 - w_steps + 100.0 ** 4 * w_steps,
+                ramp: (3 ** 5 - 2 ** 5) / 5 + 2.5 ** 4 * w_ramp + 1 - w_ramp}
+        for prof, top in ((steps, 100.0), (ramp, 3.0)):
+            vstar = decreasing_rearrangement(prof)
+            levels = np.array([0.5, 1.5, 2.4, 50.0, 0.9 * top])
+            mu = distribution_function(prof, levels)
+            assert np.all(np.abs(distribution_function(vstar, levels) - mu) <= 1e-8 * mu)
+            assert vstar(np.array([0.0]))[0] == top
+            assert vstar.lp_power(4.0) == pytest.approx(mass[prof], rel=1e-10)
+
     def test_nonincreasing_output(self):
         vstar = decreasing_rearrangement(random_profile(3))
         t = np.linspace(1e-4, 15, 500)

@@ -174,13 +174,20 @@ class TestNormsGeodesic:
         with pytest.raises(QuadratureError, match="integrand returned inf"):
             lp_norm_geodesic(u, SpaceParams(3), 1.5)
 
-
     def test_non_integrable_p2_names_missing_decay(self):
         # at p = 2 the integrand stays finite and grows like rho^2: the
-        # growing tail chunks are reported, not the split budget
+        # error names the growing tail chunks along with the split budget
         u = RadialTestFunction([1, 1], alpha=1)
         with pytest.raises(QuadratureError, match="does not decay"):
             lp_norm_geodesic(u, SpaceParams(3), 2.0)
+
+    def test_late_peak_near_threshold(self):
+        # alpha just above (n - 1)/p: the L^2 integrand ~ rho^2 e^(-0.001 rho)
+        # peaks near rho = 2000, its tail chunks grow three times in a row,
+        # and the integral still converges
+        u = RadialTestFunction([1, 1.0005], alpha=1.0005)
+        rep = check_inequality(u, PoincareParams(3, 1, 2))
+        assert np.isfinite(rep.lhs) and rep.holds
 
 
 class TestNormsVolume:
