@@ -7,8 +7,7 @@ radial inverse Laplacian.
 
 from .geometry import (SpaceParams, ball_volume, hyperbolic_distance_from_origin,
                        radius_for_volume, surface_measure, unit_ball_volume)
-from .numerics import (BracketError, DomainError, GridSpec, QuadratureConfig,
-                       QuadratureError)
+from .numerics import DomainError, GridSpec, QuadratureError
 from .profiles import RadialProfile, constant_profile, indicator_profile, sampled_profile
 from .rearrangement import (decreasing_rearrangement, distribution_function,
                             hardy_check, maximal_function, radialize)
@@ -21,7 +20,7 @@ from .extremizers import (ExtremizerParams, averaged_extremizer,
 __all__ = [
     "SpaceParams", "ball_volume", "radius_for_volume", "surface_measure",
     "hyperbolic_distance_from_origin", "unit_ball_volume",
-    "BracketError", "DomainError", "GridSpec", "QuadratureConfig", "QuadratureError",
+    "DomainError", "GridSpec", "QuadratureError",
     "RadialProfile", "constant_profile", "indicator_profile", "sampled_profile",
     "decreasing_rearrangement", "distribution_function", "hardy_check",
     "maximal_function", "radialize",

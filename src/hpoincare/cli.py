@@ -15,7 +15,7 @@ import numpy as np
 
 from . import extremizers, rearrangement, variational
 from .geometry import SpaceParams, ball_volume, radius_for_volume
-from .numerics import DEFAULT_QUADRATURE, DomainError
+from .numerics import ABS_TOL, MAX_SPLITS, REL_TOL, DomainError
 from .profiles import PowerSegment, RadialProfile, indicator_profile, zero_tail
 
 EXIT_OK = 0
@@ -231,9 +231,8 @@ def cmd_selfcheck(args, out):
         from .geometry import unit_ball_volume
         omega = 1.01 * unit_ball_volume(3)
     sp3 = SpaceParams(3) if omega is None else SpaceParams(3, omega_n=omega)
-    out.write(f"tolerances: rel_tol={DEFAULT_QUADRATURE.rel_tol:g} "
-              f"abs_tol={DEFAULT_QUADRATURE.abs_tol:g} "
-              f"max_subdivisions={DEFAULT_QUADRATURE.max_subdivisions}\n")
+    out.write(f"tolerances: rel_tol={REL_TOL:g} abs_tol={ABS_TOL:g} "
+              f"max_subdivisions={MAX_SPLITS}\n")
     failures = 0
     for name, fn in _selfcheck_suites(sp3):
         try:

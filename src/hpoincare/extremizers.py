@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, numerics, rearrangement
+from . import numerics, rearrangement
 from .geometry import SpaceParams, surface_measure
-from .numerics import DEFAULT_QUADRATURE, GridSpec, QuadratureConfig
+from .numerics import GridSpec
 from .profiles import FuncSegment, PowerSegment, RadialProfile, sampled_profile, zero_tail
 
 
@@ -25,12 +25,12 @@ def area_ratio(s, sp: SpaceParams):
     return surface_measure(s, sp) / ((sp.n - 1) * s)
 
 
-def select_s0(sp: SpaceParams, eps: float, probe_lo: float = 1e-3,
-              probe_hi: float = 1e9, probe_points: int = 600) -> float:
-    """Least probe-grid abscissa above which the area ratio stays within 1+eps."""
+def select_s0(sp: SpaceParams, eps: float) -> float:
+    """Least abscissa of a 600-point log grid over [1e-3, 1e9] above which
+    the area ratio stays within 1+eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    grid = np.geomspace(probe_lo, probe_hi, probe_points)
+    grid = np.geomspace(1e-3, 1e9, 600)
     ratio = area_ratio(grid, sp)
     suffix_max = np.maximum.accumulate(ratio[::-1])[::-1]
     ok = suffix_max <= 1.0 + eps
@@ -122,8 +122,7 @@ def averaged_extremizer_profile(params: ExtremizerParams) -> RadialProfile:
     return RadialProfile(segs, nonincreasing=True, tail_bound=1.0)
 
 
-def inverse_area_tail(s, p: float, sp: SpaceParams,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+def inverse_area_tail(s, p: float, sp: SpaceParams):
     """Tail integral over [s, inf) of A(t)^(-p/(p-1)).
 
     Strictly decreasing with derivative -A(s)^(-p/(p-1)).
@@ -137,7 +136,7 @@ def inverse_area_tail(s, p: float, sp: SpaceParams,
         raise numerics.DomainError("volume coordinate must be positive")
     integrand = lambda t: surface_measure(t, sp) ** (-pc)
     out = np.array([
-        numerics.integrate(integrand, float(si), np.inf, cfg, tail_decay=pc)
+        numerics.integrate(integrand, float(si), np.inf, tail_decay=pc)
         for si in s_arr
     ])
     return float(out[0]) if scalar else out
@@ -149,23 +148,23 @@ def inverse_area_tail_slope(s, p: float, sp: SpaceParams):
     return -surface_measure(s, sp) ** (-pc)
 
 
-def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec,
-                      refine: int = 4) -> RadialProfile:
+# fine-grid steps per step of the GridSpec in the inverse Laplacian: a
+# multiple of 4, so that the fine grid and its every-other-node subgrid of
+# the Richardson check both have the odd node count composite Simpson wants
+_REFINE = 4
+
+
+def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> RadialProfile:
     """Radial inverse of the negative Laplacian in the volume coordinate.
 
     Computes, on a log grid, the descending integral of A(r)^(-2) times the
     running integral of v; both cumulative passes use composite Simpson on
-    an internally refined log-uniform grid. The result satisfies
+    a log-uniform grid refined _REFINE times. The result satisfies
     -(A^2 u')' = v.
     """
-    if refine < 1:
-        raise ValueError("refine must be at least 1")
     nodes = numerics.log_grid(grid)
-    n_fine = (grid.points - 1) * refine + 1
+    n_fine = (grid.points - 1) * _REFINE + 1
     t_fine = np.linspace(math.log(grid.s_min), math.log(grid.s_max), n_fine)
-    if (n_fine - 1) % 2 != 0:
-        t_fine = np.linspace(t_fine[0], t_fine[-1], n_fine + 1)
-        n_fine += 1
     s_fine = np.exp(t_fine)
     h = t_fine[1] - t_fine[0]
     vals = np.asarray(v(s_fine), dtype=float)
@@ -187,8 +186,6 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec,
     # Richardson-style discretization estimate: redo the outer pass at
     # double spacing and compare the descending integrals on shared nodes
     half_idx = np.arange(0, n_fine, 2)
-    if len(half_idx) % 2 == 0:
-        half_idx = half_idx[:-1]
     cum_half = _cumulative_simpson(integrand_out[half_idx], 2.0 * h)
     ref = max(abs(Tv[0]), abs(Tv[n_fine // 2]))
     disc = float(np.max(np.abs(cum_out[half_idx] - cum_half))) / ref
@@ -197,11 +194,7 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec,
             f"grid too coarse for the inverse Laplacian (estimated error {disc:.2e}); "
             f"increase GridSpec.points")
 
-    coarse = Tv[::refine] if (n_fine - 1) % refine == 0 else np.interp(
-        np.log(nodes), t_fine, Tv)
-    if len(coarse) != grid.points:
-        coarse = np.interp(np.log(nodes), t_fine, Tv)
-    prof = sampled_profile(nodes, coarse, nonincreasing=True)
+    prof = sampled_profile(nodes, Tv[::_REFINE], nonincreasing=True)
     prof.fine_nodes = s_fine
     prof.fine_values = Tv
     return prof
@@ -232,24 +225,23 @@ def _cumulative_simpson(y, h):
     return out
 
 
-def inverse_laplacian_iterates(params: ExtremizerParams, k: int,
-                               grid: GridSpec | None = None,
-                               refine: int = 4) -> list[RadialProfile]:
-    """Iterated inverses of the negative Laplacian applied to the extremizer."""
+def inverse_laplacian_iterates(params: ExtremizerParams, k: int) -> list[RadialProfile]:
+    """Iterated inverses of the negative Laplacian applied to the extremizer,
+    on the default grid."""
     if k < 0:
         raise ValueError("iteration order must be nonnegative")
-    if grid is None:
-        grid = default_grid(params)
+    grid = default_grid(params)
     iterates = []
     current = extremizer_profile(params)
     for _ in range(k):
-        current = inverse_laplacian(current, params.sp, grid, refine=refine)
+        current = inverse_laplacian(current, params.sp, grid)
         iterates.append(current)
     return iterates
 
 
-def default_grid(params: ExtremizerParams, points: int = 4096) -> GridSpec:
-    return GridSpec(params.s0 * 1e-6, 2.0 * params.R * 1e3, points)
+def default_grid(params: ExtremizerParams) -> GridSpec:
+    """4096 log-uniform nodes from s0 * 1e-6 to 2R * 1e3."""
+    return GridSpec(params.s0 * 1e-6, 2.0 * params.R * 1e3, 4096)
 
 
 @dataclass(frozen=True)
@@ -262,9 +254,10 @@ class SandwichReport:
 
 
 def sandwich_decomposition(params: ExtremizerParams, iterate: RadialProfile,
-                           index: int, s_window=None) -> SandwichReport:
+                           index: int) -> SandwichReport:
     """Clamp an iterate into the band between the two multiples of the
-    extremizer and report the remainder norm and clamping statistics."""
+    extremizer and report the remainder norm and clamping statistics, also
+    over the window [10 s0, R/10]."""
     p, eps = params.p, params.eps
     n = params.sp.n
     c = (p * params.p_conj / (n - 1.0) ** 2) ** index
@@ -281,17 +274,14 @@ def sandwich_decomposition(params: ExtremizerParams, iterate: RadialProfile,
     h = math.log(nodes[1] / nodes[0])
     w_norm_p = _cumulative_simpson(np.abs(w) ** p * nodes, h)[-1] ** (1.0 / p)
     untouched = np.isclose(w, 0.0, atol=0.0)
-    if s_window is None:
-        s_window = (10.0 * params.s0, params.R / 10.0)
-    in_window = (nodes >= s_window[0]) & (nodes <= s_window[1])
+    in_window = (nodes >= 10.0 * params.s0) & (nodes <= params.R / 10.0)
     frac_all = float(np.mean(untouched))
     frac_win = float(np.mean(untouched[in_window])) if np.any(in_window) else float("nan")
     edge = float(iterate(np.array([2.0 * params.R]))[0]) * params.R ** (1.0 / p)
     return SandwichReport(w_norm_p, float(np.max(np.abs(w))), frac_all, frac_win, edge)
 
 
-def second_order_majorant(f: RadialProfile, sp: SpaceParams, p: float,
-                          cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> RadialProfile:
+def second_order_majorant(f: RadialProfile, sp: SpaceParams, p: float) -> RadialProfile:
     """Majorant of rearranged preimages under the Laplacian: the descending
     integral of t * f**(t) / A(t)^2 built from the running average f** of
     the rearrangement of f."""
@@ -309,7 +299,7 @@ def second_order_majorant(f: RadialProfile, sp: SpaceParams, p: float,
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
         for i, si in enumerate(s):
-            out[i] = numerics.integrate(integrand, float(si), np.inf, cfg,
+            out[i] = numerics.integrate(integrand, float(si), np.inf,
                                         breakpoints=[b for b in bks if b > si],
                                         tail_decay=2.0 if support is not None else 1.0 + (favg.tail_bound or 0.0))
         return out

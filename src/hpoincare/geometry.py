@@ -112,11 +112,12 @@ def log_sphere_area_of_radius(rho, sp: SpaceParams):
     return math.log(sp.sphere_area) + (sp.n - 1) * log_sinh
 
 
-def radius_for_volume(s, sp: SpaceParams, rel_tol: float = 1e-13):
+def radius_for_volume(s, sp: SpaceParams):
     """Geodesic radius of the ball with hyperbolic volume s (inverse of ball_volume).
 
-    Safeguarded vectorized Newton iteration on ln(volume); seeded by the
-    small-ball power law and the large-ball exponential asymptote.
+    Safeguarded vectorized Newton iteration on ln(volume), run until the
+    volume is within 1e-13 relative; seeded by the small-ball power law and
+    the large-ball exponential asymptote.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < 0):
@@ -141,7 +142,7 @@ def radius_for_volume(s, sp: SpaceParams, rel_tol: float = 1e-13):
             step = (np.log(vol) - target) * vol / area
             r_new = r - step
             r_new = np.where(r_new <= 0, 0.5 * r, r_new)
-            done = np.abs(vol - sv) <= rel_tol * sv
+            done = np.abs(vol - sv) <= 1e-13 * sv
             if np.all(done):
                 break
             r = np.where(done, r, r_new)

@@ -3,15 +3,15 @@
 `integrate` is the one adaptive quadrature: a G10/K21 Gauss-Kronrod rule
 with bisection, which evaluates all panels still open at a bisection level
 in one call of the integrand and counts panel splits against
-`max_subdivisions`. Wide spans are integrated in t = ln s, and semi-infinite
+`MAX_SPLITS`. Wide spans are integrated in t = ln s, and semi-infinite
 integrals have a single tail rule: extend by chunks [B, 8B] until both the
 declared power-law majorant at B and the last chunk's mass are within
 tolerance. `batched_gauss` is a fixed Gauss-Legendre rule over many
 intervals, for the L^p masses of costly callable segments and the
 small-radius panel of the ball volume. `illinois` is the one bracketed
 root-finder, a safeguarded regula falsi vectorized over many problems; it
-serves the rearrangement and `invert_monotone`. Also: log-spaced grids.
-The module, like the package, needs numpy alone.
+serves the rearrangement. Also: log-spaced grids. The module, like the
+package, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the one tolerance of `integrate`: relative and absolute error per initial
+# panel, and the panel splits allowed over one call
+REL_TOL = 1e-10
+ABS_TOL = 1e-14
+MAX_SPLITS = 4000
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class BracketError(ValueError):
-    """The target value is not enclosed by the supplied bracket."""
 
 
 class QuadratureError(RuntimeError):
@@ -36,24 +38,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 4000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be nonnegative")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -114,18 +98,6 @@ _W21[1:10:2, 1] = _WG
 _W21[19:10:-2, 1] = _WG
 
 
-def _vectorize(f):
-    def fv(x):
-        x = np.asarray(x, dtype=float)
-        y = f(x)
-        y = np.asarray(y, dtype=float)
-        if y.shape != x.shape:
-            y = np.array([f(xi) for xi in x.ravel()], dtype=float).reshape(x.shape)
-        return y
-
-    return fv
-
-
 def _kronrod(fv, lo, hi, log):
     """K21 estimates and |K21 - G10| error estimates on the panels
     [lo_i, hi_i], all evaluated in one call of fv. A panel flagged in log
@@ -161,11 +133,11 @@ def _panels(a, b, breakpoints):
     return rows
 
 
-def _adaptive(fv, a, b, breakpoints, cfg, budget):
+def _adaptive(fv, a, b, breakpoints, budget):
     """Adaptive bisection of the initial panels of [a, b] with a G10/K21
     error estimate; every panel still open at a level is evaluated in one
     call of fv. A panel is accepted when its error estimate is within
-    max(abs_tol, rel_tol * scale) * max(width fraction, 1e-3), where the
+    max(ABS_TOL, REL_TOL * scale) * max(width fraction, 1e-3), where the
     scale and the width fraction refer to the initial panel it came from;
     budget[0] counts the splits left."""
     rows = _panels(a, b, breakpoints)
@@ -178,8 +150,8 @@ def _adaptive(fv, a, b, breakpoints, cfg, budget):
     while lo.size:
         est, err = _kronrod(fv, lo, hi, log)
         if scale is None:
-            scale = np.maximum(np.abs(est), cfg.abs_tol)
-        tol = (np.maximum(cfg.abs_tol, cfg.rel_tol * scale[origin])
+            scale = np.maximum(np.abs(est), ABS_TOL)
+        tol = (np.maximum(ABS_TOL, REL_TOL * scale[origin])
                * np.maximum((hi - lo) / width[origin], 1e-3))
         done = (err <= tol) | ((hi - lo) < 1e-14 * (np.abs(lo) + np.abs(hi) + 1.0))
         np.add.at(totals, origin[done], est[done])
@@ -189,7 +161,7 @@ def _adaptive(fv, a, b, breakpoints, cfg, budget):
         budget[0] -= int(np.count_nonzero(split))
         if budget[0] <= 0:
             raise QuadratureError(
-                "quadrature did not converge within max_subdivisions",
+                f"quadrature did not converge within {MAX_SPLITS} panel splits",
                 estimate=float(np.sum(totals) + np.sum(est[split])),
                 error_bound=err_total + float(np.sum(err[split])))
         lo, hi, log, origin = lo[split], hi[split], log[split], origin[split]
@@ -199,15 +171,15 @@ def _adaptive(fv, a, b, breakpoints, cfg, budget):
     return float(np.sum(totals)), err_total
 
 
-def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-              breakpoints=(), tail_decay: float | None = None) -> float:
+def integrate(f, a, b, breakpoints=(), tail_decay: float | None = None) -> float:
     """Integrate f over [a, b] by adaptive G10/K21 Gauss-Kronrod bisection.
 
     [a, b] is cut at the breakpoints; pieces spanning more than a factor 20
     are integrated in t = ln s. Every panel still open at a bisection level
-    is evaluated in one call of f, so f should accept arrays (a scalar
-    function is applied element by element). cfg.max_subdivisions bounds the
-    number of panel splits over the whole call.
+    is evaluated in one call of f, so f must be vectorized: it maps an array
+    of abscissae to an array of the same shape. Each initial panel is
+    integrated to max(ABS_TOL, REL_TOL * its magnitude), and MAX_SPLITS
+    bounds the number of panel splits over the whole call.
 
     b may be np.inf when |f(s)| <= C s^(-tail_decay) (tail_decay > 1)
     beyond the truncation point B: the integral over [a, B] is extended by
@@ -223,29 +195,29 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
         raise ValueError("need a < b")
     if np.isinf(b) and (tail_decay is None or tail_decay <= 1):
         raise ValueError("semi-infinite integral needs tail decay exponent > 1")
-    fv = _vectorize(f)
-    budget = [cfg.max_subdivisions]
+    fv = lambda x: np.asarray(f(x), dtype=float)
+    budget = [MAX_SPLITS]
     # _kronrod raises on a non-finite value of f, naming it and its
     # abscissa, so numpy's overflow and invalid-value warnings inside f
     # would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isinf(b):
-            return _adaptive(fv, a, b, breakpoints, cfg, budget)[0]
+            return _adaptive(fv, a, b, breakpoints, budget)[0]
         bks = [float(c) for c in breakpoints if np.isfinite(c)]
         B = max([2.0 * abs(a), 1.0, a + 1.0] + [2.0 * c for c in bks if c > a])
-        total, err = _adaptive(fv, a, B, bks, cfg, budget)
+        total, err = _adaptive(fv, a, B, bks, budget)
         part = total  # [a, B] counts as the first chunk
         growing = 0  # chunks in a row that outweighed the one before
         try:
             for _ in range(300):
                 if not np.isfinite(total):
                     break
-                tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+                tol = max(ABS_TOL, REL_TOL * abs(total))
                 majorant = abs(float(fv(np.array([B]))[0])) * B / (tail_decay - 1.0)
                 if majorant <= tol and abs(part) <= tol:
                     return total
                 prev = part
-                part, e = _adaptive(fv, B, 8.0 * B, (), cfg, budget)
+                part, e = _adaptive(fv, B, 8.0 * B, (), budget)
                 total += part
                 err += e
                 growing = growing + 1 if abs(part) > abs(prev) else 0
@@ -325,24 +297,3 @@ def illinois(g, lo, hi, glo, ghi, ftol):
             a[live] for a in (idx, lo, hi, glo, ghi, ftol, xtol, side, w1, w2, w3))
     return x
 
-
-def invert_monotone(g, y: float, bracket, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Solve g(x) = y for strictly increasing scalar g on the given bracket,
-    by the Illinois iteration run to the resolution of the bracket."""
-    lo, hi = bracket
-    if not (lo < hi):
-        raise BracketError("bracket must satisfy lo < hi")
-    glo, ghi = g(lo), g(hi)
-    if not (glo <= y <= ghi):
-        raise BracketError(f"target {y} outside [g(lo), g(hi)] = [{glo}, {ghi}]")
-    if glo == y:
-        return lo
-    if ghi == y:
-        return hi
-    shifted = lambda xs, _: np.array([g(float(xi)) - y for xi in xs])
-    x = float(illinois(shifted, [lo], [hi], [glo - y], [ghi - y], 0.0)[0])
-    resid = abs(g(x) - y)
-    if resid > max(cfg.abs_tol, cfg.rel_tol * abs(y)) * 10.0:
-        raise QuadratureError("monotone inversion did not reach tolerance", estimate=x,
-                              error_bound=resid)
-    return x

@@ -1,8 +1,8 @@
 """Piecewise-analytic radial profiles of the volume coordinate.
 
-A RadialProfile partitions [0, inf) into tagged segments: sums of power
-terms (covering constants, pure powers and affine pieces), log-grid samples
-with monotone piecewise-cubic (PCHIP) interpolation in ln s, and lazily
+A RadialProfile partitions [0, inf) into segments: sums of power terms
+(covering constants, pure powers and affine pieces), log-grid samples with
+monotone piecewise-cubic (PCHIP) interpolation in ln s, and lazily
 evaluated callables (used by the rearrangement machinery). Every segment
 integrates itself through `primitive_from_lo`: in closed form for power sums
 (and for pieces of a decreasing rearrangement), by adaptive quadrature
@@ -16,13 +16,10 @@ import math
 import numpy as np
 
 from . import numerics
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 
 class Segment:
     """Base: a piece of a profile on [s_lo, s_hi)."""
-
-    kind = "abstract"
 
     def __init__(self, s_lo, s_hi):
         if not (0 <= s_lo < s_hi):
@@ -46,7 +43,7 @@ class Segment:
         return np.array([numerics.integrate(self.value, self.s_lo, x) if x > self.s_lo
                          else 0.0 for x in s.ravel()]).reshape(s.shape)
 
-    def lp_mass(self, p, cfg, tail_bound=None):
+    def lp_mass(self, p, tail_bound=None):
         """Integral of |value|^p over the segment, or None to defer to the
         generic adaptive quadrature."""
         return None
@@ -65,16 +62,6 @@ class PowerSegment(Segment):
     def __init__(self, s_lo, s_hi, terms):
         super().__init__(s_lo, s_hi)
         self.terms = tuple((float(c), float(e)) for c, e in terms)
-        if not self.terms:
-            self.kind = "zero"
-        elif len(self.terms) == 1 and self.terms[0][1] == 0.0:
-            self.kind = "constant"
-        elif len(self.terms) == 1:
-            self.kind = "power"
-        elif {e for _, e in self.terms} <= {0.0, 1.0}:
-            self.kind = "affine"
-        else:
-            self.kind = "powersum"
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
@@ -111,7 +98,7 @@ class PowerSegment(Segment):
                 out = out + c * (s ** e1 - lo_part) / e1
         return out
 
-    def lp_mass(self, p, cfg, tail_bound=None):
+    def lp_mass(self, p, tail_bound=None):
         """Closed form for a single power term, in the log domain: |c|^p
         alone can overflow even when the integral itself is moderate."""
         if len(self.terms) != 1:
@@ -136,7 +123,10 @@ class PowerSegment(Segment):
         edge = lo if e1 < 0 else hi  # the endpoint that dominates
         other = hi if e1 < 0 else lo
         bulk = math.exp(log_c + e1 * math.log(edge) - math.log(abs(e1)))
-        return bulk * (1.0 if other == 0 else -math.expm1(e1 * math.log(other / edge)))
+        # log1p of the relative width: log(other / edge) from the rounded
+        # ratio loses the width of a narrow segment far from 0
+        return bulk * (1.0 if other == 0 else
+                       -math.expm1(e1 * math.log1p((other - edge) / edge)))
 
     def is_zero(self):
         return not self.terms
@@ -216,8 +206,6 @@ class _Pchip:
 class SampledSegment(Segment):
     """Log-grid samples with monotone piecewise-cubic interpolation."""
 
-    kind = "sampled"
-
     def __init__(self, nodes, values):
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -252,8 +240,6 @@ class SampledSegment(Segment):
 class FuncSegment(Segment):
     """Lazily evaluated segment from a vectorized callable."""
 
-    kind = "callable"
-
     def __init__(self, s_lo, s_hi, fn, d1=None):
         super().__init__(s_lo, s_hi)
         self.fn = fn
@@ -274,7 +260,7 @@ class FuncSegment(Segment):
         h = 1e-4 * np.maximum(s, 1e-12)
         return (self.value(s + h) - 2 * self.value(s) + self.value(s - h)) / h ** 2
 
-    def lp_mass(self, p, cfg, tail_bound=None):
+    def lp_mass(self, p, tail_bound=None):
         fn = lambda s: np.abs(self.value(s)) ** p
         hi = self.s_hi
         if math.isinf(hi):
@@ -286,7 +272,7 @@ class FuncSegment(Segment):
             probe = 0.0
             for _ in range(300):
                 probe = float(fn(np.array([T]))[0]) * T / (decay - 1.0)
-                if probe <= cfg.abs_tol or T > 1e280:
+                if probe <= numerics.ABS_TOL or T > 1e280:
                     break
                 T *= 4.0
             hi = T
@@ -377,30 +363,30 @@ class RadialProfile:
             out[mask] = cum[k] + self.segments[k].primitive_from_lo(s_arr[mask])
         return float(out[0]) if scalar else out
 
-    def lp_power(self, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    def lp_power(self, p):
         """Integral of |v|^p over [0, inf)."""
         total = 0.0
         for seg in self.segments:
             if seg.is_zero():
                 continue
-            mass = seg.lp_mass(p, cfg, tail_bound=self.tail_bound)
+            mass = seg.lp_mass(p, tail_bound=self.tail_bound)
             if mass is None:
                 mass = self.segment_integral(
-                    seg, lambda s, seg=seg: np.abs(seg.value(s)) ** p, p, cfg)
+                    seg, lambda s, seg=seg: np.abs(seg.value(s)) ** p, p)
             total += mass
         return total
 
-    def segment_integral(self, seg, integrand, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    def segment_integral(self, seg, integrand, p):
         """Integral of integrand over the segment seg of this profile. On the
         infinite last segment the integrand must decay like |v|^p, that is
         like s^(-tail_bound * p); QuadratureError if that is not integrable."""
         if not math.isinf(seg.s_hi):
-            return numerics.integrate(integrand, seg.s_lo, seg.s_hi, cfg)
+            return numerics.integrate(integrand, seg.s_lo, seg.s_hi)
         decay = None if self.tail_bound is None else self.tail_bound * p
         if decay is None or decay <= 1:
             raise numerics.QuadratureError(
                 f"divergent or unbounded tail from {seg.s_lo}; tighten tail_bound")
-        return numerics.integrate(integrand, seg.s_lo, np.inf, cfg, tail_decay=decay)
+        return numerics.integrate(integrand, seg.s_lo, np.inf, tail_decay=decay)
 
 
 def zero_tail(s_lo):

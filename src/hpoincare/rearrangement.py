@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .numerics import DEFAULT_QUADRATURE, DomainError, QuadratureError, illinois
+from .numerics import DomainError, QuadratureError, illinois
 from .profiles import FuncSegment, PowerSegment, RadialProfile, zero_tail
 
 
@@ -378,19 +378,18 @@ class HardyReport:
     holds: bool
 
 
-def hardy_check(vstar: RadialProfile, p: float,
-                cfg=DEFAULT_QUADRATURE) -> HardyReport:
+def hardy_check(vstar: RadialProfile, p: float) -> HardyReport:
     """Compare the L^p norm of the running average against the conjugate-
     exponent multiple of the L^p norm of the profile."""
     if p <= 1:
         raise DomainError("the Hardy inequality requires p > 1")
     p_conj = p / (p - 1.0)
-    base = vstar.lp_power(p, cfg) ** (1.0 / p)
+    base = vstar.lp_power(p) ** (1.0 / p)
     if not np.isfinite(base):
         raise QuadratureError("divergent L^p norm of the profile")
     if base == 0.0:
         return HardyReport(0.0, 0.0, 0.0, True)
-    lhs = maximal_function(vstar).lp_power(p, cfg) ** (1.0 / p)
+    lhs = maximal_function(vstar).lp_power(p) ** (1.0 / p)
     rhs = p_conj * base
     return HardyReport(lhs, rhs, lhs / rhs, lhs <= rhs * (1 + 1e-10))
 

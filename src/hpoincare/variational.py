@@ -10,13 +10,13 @@ the quotient toward the sharp constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import extremizers, numerics
 from .geometry import SpaceParams, surface_measure
-from .numerics import DEFAULT_QUADRATURE, DomainError, GridSpec, QuadratureConfig
+from .numerics import DomainError
 from .profiles import RadialProfile
 
 
@@ -106,18 +106,15 @@ class TestFunction:
         return self._p2(rho) * np.exp(-self.alpha * rho)
 
     @classmethod
-    def random(cls, n: int, p: float, degree: int = 3, seed: int = 1,
-               margin: float = 0.5) -> "TestFunction":
-        """Random admissible test function with integrable norms."""
+    def random(cls, n: int, p: float, seed: int = 1) -> "TestFunction":
+        """Random admissible test function with integrable norms: a cubic P
+        and a decay rate alpha in (n-1)/p + [0.5, 1.5)."""
         rng = np.random.default_rng(seed)
-        coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+        coeffs = rng.uniform(-1.0, 1.0, 4)
         if abs(coeffs[0]) < 0.2:
             coeffs[0] = 0.2 * (1.0 if coeffs[0] >= 0 else -1.0)
-        alpha = (n - 1) / p + margin + rng.uniform(0.0, 1.0)
-        if len(coeffs) > 1:
-            coeffs[1] = alpha * coeffs[0]
-        else:
-            coeffs = np.array([coeffs[0], alpha * coeffs[0]])
+        alpha = (n - 1) / p + 0.5 + rng.uniform(0.0, 1.0)
+        coeffs[1] = alpha * coeffs[0]
         return cls(coeffs, alpha)
 
 
@@ -157,29 +154,26 @@ def _test_function_integrand(u, sp: SpaceParams, p: float, mantissa):
     return fn
 
 
-def lp_norm_geodesic(u, sp: SpaceParams, p: float,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def lp_norm_geodesic(u, sp: SpaceParams, p: float) -> float:
     """L^p norm of a radial function u(rho) over hyperbolic space."""
     if isinstance(u, TestFunction):
         fn = _test_function_integrand(u, sp, p, u.poly)
     else:
         fn = lambda r: _weighted_power(u(r), r, sp, p)
-    return numerics.integrate(fn, 0.0, np.inf, cfg, **_GEODESIC_TAIL) ** (1.0 / p)
+    return numerics.integrate(fn, 0.0, np.inf, **_GEODESIC_TAIL) ** (1.0 / p)
 
 
-def grad_norm_geodesic(u, sp: SpaceParams, p: float,
-                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def grad_norm_geodesic(u, sp: SpaceParams, p: float) -> float:
     """L^p norm of the gradient of a radial function u(rho): |u'| is the
     pointwise gradient length."""
     if isinstance(u, TestFunction):
         fn = _test_function_integrand(u, sp, p, u._p1)
     else:
         fn = lambda r: _weighted_power(u.d1(r), r, sp, p)
-    return numerics.integrate(fn, 0.0, np.inf, cfg, **_GEODESIC_TAIL) ** (1.0 / p)
+    return numerics.integrate(fn, 0.0, np.inf, **_GEODESIC_TAIL) ** (1.0 / p)
 
 
-def laplacian_norm_geodesic(u, sp: SpaceParams, p: float,
-                            cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def laplacian_norm_geodesic(u, sp: SpaceParams, p: float) -> float:
     """L^p norm of the Laplacian of a radial function u(rho)."""
     from .geometry import radial_laplacian_geodesic
 
@@ -197,22 +191,20 @@ def laplacian_norm_geodesic(u, sp: SpaceParams, p: float,
         fn = _test_function_integrand(u, sp, p, mantissa)
     else:
         fn = lambda r: _weighted_power(radial_laplacian_geodesic(u, r, sp), r, sp, p)
-    return numerics.integrate(fn, 0.0, np.inf, cfg, **_GEODESIC_TAIL) ** (1.0 / p)
+    return numerics.integrate(fn, 0.0, np.inf, **_GEODESIC_TAIL) ** (1.0 / p)
 
 
-def lp_norm_volume(v: RadialProfile, p: float,
-                   cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def lp_norm_volume(v: RadialProfile, p: float) -> float:
     """L^p norm of a volume-coordinate profile (the coordinate is
     measure-preserving, so this is the hyperbolic-space norm)."""
-    return v.lp_power(p, cfg) ** (1.0 / p)
+    return v.lp_power(p) ** (1.0 / p)
 
 
-def grad_norm_volume(v: RadialProfile, sp: SpaceParams, p: float,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def grad_norm_volume(v: RadialProfile, sp: SpaceParams, p: float) -> float:
     """L^p norm of the gradient: (integral of (A(s) |v'(s)|)^p ds)^(1/p)."""
     # |v'| ~ s^-(tail_bound+1) and A ~ s: the integrand decays like |v|^p
     total = sum(v.segment_integral(
-        seg, lambda s, seg=seg: (surface_measure(s, sp) * np.abs(seg.deriv(s))) ** p, p, cfg)
+        seg, lambda s, seg=seg: (surface_measure(s, sp) * np.abs(seg.deriv(s))) ** p, p)
         for seg in v.segments if not seg.is_zero())
     return total ** (1.0 / p)
 
@@ -227,16 +219,15 @@ class InequalityReport:
     holds: bool
 
 
-def check_inequality(u: TestFunction, params: PoincareParams,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> InequalityReport:
+def check_inequality(u: TestFunction, params: PoincareParams) -> InequalityReport:
     """Evaluate both sides of the order-m inequality on a radial test
     function (m <= 2 for direct evaluation)."""
     sp = SpaceParams(params.n)
-    lhs = lp_norm_geodesic(u, sp, params.p, cfg)
+    lhs = lp_norm_geodesic(u, sp, params.p)
     if params.m == 1:
-        dnorm = grad_norm_geodesic(u, sp, params.p, cfg)
+        dnorm = grad_norm_geodesic(u, sp, params.p)
     elif params.m == 2:
-        dnorm = laplacian_norm_geodesic(u, sp, params.p, cfg)
+        dnorm = laplacian_norm_geodesic(u, sp, params.p)
     else:
         raise DomainError("direct evaluation supports m <= 2")
     c = params.constant
@@ -245,17 +236,14 @@ def check_inequality(u: TestFunction, params: PoincareParams,
                             lhs <= rhs * (1 + 1e-10))
 
 
-def corollary_chain(u: TestFunction, params: PoincareParams,
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+def corollary_chain(u: TestFunction, params: PoincareParams):
     """Reports for every intermediate order l = 1, ..., m (m <= 2): the
     inequality of each order must hold with its own sharp constant."""
-    return [check_inequality(u, PoincareParams(params.n, l, params.p), cfg)
+    return [check_inequality(u, PoincareParams(params.n, l, params.p))
             for l in range(1, params.m + 1)]
 
 
-def rayleigh_quotient(params: PoincareParams, ext: extremizers.ExtremizerParams,
-                      grid: GridSpec | None = None,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def rayleigh_quotient(params: PoincareParams, ext: extremizers.ExtremizerParams) -> float:
     """Quotient ||u||_p / ||grad^m u||_p for the near-extremal function of
     order m built from the extremizing profile.
 
@@ -270,12 +258,12 @@ def rayleigh_quotient(params: PoincareParams, ext: extremizers.ExtremizerParams,
     base_norm = extremizers.extremizer_lp_mass(ext) ** (1.0 / p)
     k = m // 2
     if m == 1:
-        return base_norm / grad_norm_volume(base, sp, p, cfg)
-    iterates = extremizers.inverse_laplacian_iterates(ext, k, grid=grid)
-    top = lp_norm_volume(iterates[-1], p, cfg)
+        return base_norm / grad_norm_volume(base, sp, p)
+    iterates = extremizers.inverse_laplacian_iterates(ext, k)
+    top = lp_norm_volume(iterates[-1], p)
     if m % 2 == 0:
         return top / base_norm
-    return top / grad_norm_volume(base, sp, p, cfg)
+    return top / grad_norm_volume(base, sp, p)
 
 
 @dataclass(frozen=True)
@@ -293,17 +281,12 @@ class SweepResult:
     extrapolated: float
     constant: float
 
-    @property
-    def best_fraction(self):
-        return max(pt.fraction_of_sharp for pt in self.points)
-
 
 LOG_RATIO_CAP_HIGH_ORDER = 60.0
 
 
 def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
-                    log_ratios=(10.0, 20.0, 40.0),
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepResult:
+                    log_ratios=(10.0, 20.0, 40.0)) -> SweepResult:
     """Rayleigh quotients of the extremizing family along increasing
     plateau-to-support log ratios, with a 1/log extrapolation.
 
@@ -321,7 +304,7 @@ def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
             raise DomainError(
                 f"log ratio {lr} exceeds the cap {LOG_RATIO_CAP_HIGH_ORDER} for m >= 2")
         ext = extremizers.ExtremizerParams.create(sp, p, eps, lr)
-        q = rayleigh_quotient(params, ext, cfg=cfg)
+        q = rayleigh_quotient(params, ext)
         pts.append(SweepPoint(lr, q, q / c))
     if len(pts) >= 2:
         # fit quotient ~ q_inf + slope / log_ratio through the last two points

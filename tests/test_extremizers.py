@@ -145,7 +145,7 @@ class TestInverseLaplacian:
         f = extremizer_profile(params)
         with pytest.raises(Exception):
             inverse_laplacian(f, SP3, GridSpec(params.s0 * 1e-6,
-                                               2 * params.R * 1e3, 40), refine=1)
+                                               2 * params.R * 1e3, 40))
 
     def test_iterates_count_and_chain(self):
         params = make_params(8.0, eps=0.05)

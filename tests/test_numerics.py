@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from hpoincare.numerics import (BracketError, GridSpec, QuadratureConfig,
-                                QuadratureError, batched_gauss, illinois,
-                                integrate, invert_monotone, log_grid)
+from hpoincare.numerics import (GridSpec, QuadratureError, batched_gauss, illinois,
+                                integrate, log_grid)
 
 
 class TestIntegrate:
@@ -68,11 +65,11 @@ class TestIntegrate:
         assert float(str(exc.value).rsplit(" ", 1)[1]) > 0.5
 
     def test_nonconvergence_carries_estimate(self):
-        cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0, max_subdivisions=2)
-        rng = np.random.default_rng(0)
-        bumpy = lambda s: np.sin(1.0 / (s + 1e-4)) ** 2
-        with pytest.raises(QuadratureError) as exc:
-            integrate(bumpy, 0.0, 1.0, cfg)
+        # some 3e4 oscillations crowded next to 0 exhaust the split budget
+        # (with the offset 1e-4, a tenth as many, the integral converges)
+        bumpy = lambda s: np.sin(1.0 / (s + 1e-5)) ** 2
+        with pytest.raises(QuadratureError, match="did not converge") as exc:
+            integrate(bumpy, 0.0, 1.0)
         assert exc.value.estimate is not None
         assert exc.value.error_bound is not None
 
@@ -81,33 +78,12 @@ class TestIntegrate:
             integrate(lambda s: s, 1.0, 1.0)
 
 
-class TestInvertMonotone:
-    def test_identity(self):
-        assert invert_monotone(lambda x: x, 3.0, (0.0, 10.0)) == pytest.approx(3.0)
-
-    def test_cubic(self):
-        x = invert_monotone(lambda x: x ** 3, 8.0, (0.0, 10.0))
-        assert x == pytest.approx(2.0, rel=1e-12)
-
-    def test_scalar_function(self):
-        # g is called with one float at a time
-        assert invert_monotone(math.exp, 5.0, (0.0, 3.0)) == pytest.approx(math.log(5.0),
-                                                                         rel=1e-14)
-
-    def test_illinois_vectorized(self):
-        # cube roots of several targets in one call, each to the resolution
-        # of the bracket [0, 2]: 4 ulp of 2
-        c = np.array([0.001, 0.5, 2.0, 7.9])
-        x = illinois(lambda x, i: x ** 3 - c[i], 0.0, 2.0, -c, 8.0 - c, 0.0)
-        assert np.all(np.abs(x - np.cbrt(c)) <= 4 * np.spacing(2.0))
-
-    def test_outside_bracket(self):
-        with pytest.raises(BracketError):
-            invert_monotone(lambda x: x, 20.0, (0.0, 10.0))
-
-    def test_bad_bracket(self):
-        with pytest.raises(BracketError):
-            invert_monotone(lambda x: x, 1.0, (5.0, 1.0))
+def test_illinois_vectorized():
+    # cube roots of several targets in one call, each to the resolution
+    # of the bracket [0, 2]: 4 ulp of 2
+    c = np.array([0.001, 0.5, 2.0, 7.9])
+    x = illinois(lambda x, i: x ** 3 - c[i], 0.0, 2.0, -c, 8.0 - c, 0.0)
+    assert np.all(np.abs(x - np.cbrt(c)) <= 4 * np.spacing(2.0))
 
 
 class TestGrids:
@@ -124,12 +100,6 @@ class TestGrids:
             GridSpec(2.0, 1.0)
         with pytest.raises(ValueError):
             GridSpec(1.0, 2.0, points=1)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
 
 
 def test_batched_gauss_matches_closed_form():

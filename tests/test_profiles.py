@@ -10,13 +10,6 @@ from hpoincare.profiles import (FuncSegment, PowerSegment, RadialProfile,
 
 
 class TestSegments:
-    def test_power_kinds(self):
-        assert PowerSegment(0, 1, ()).kind == "zero"
-        assert PowerSegment(0, 1, [(2.0, 0.0)]).kind == "constant"
-        assert PowerSegment(1, 2, [(2.0, -0.5)]).kind == "power"
-        assert PowerSegment(0, 1, [(1.0, 0.0), (2.0, 1.0)]).kind == "affine"
-        assert PowerSegment(1, 2, [(1.0, -1.0), (2.0, 0.5)]).kind == "powersum"
-
     def test_power_derivatives(self):
         seg = PowerSegment(1, 10, [(3.0, 2.0)])
         s = np.array([2.0, 5.0])
@@ -26,6 +19,13 @@ class TestSegments:
     def test_power_primitive_log_case(self):
         seg = PowerSegment(1, 100, [(2.0, -1.0)])
         assert seg.primitive_from_lo(np.array([math.e]))[0] == pytest.approx(2.0, rel=1e-14)
+
+    def test_lp_mass_narrow_segment_far_from_zero(self):
+        # rounded to a float, the ratio lo / hi = 1 - 2e-13 keeps only about
+        # four digits of the relative width 2e-13
+        hi = 500 + 1e-10
+        mass = PowerSegment(500, hi, [(100, 0)]).lp_mass(4)
+        assert mass == pytest.approx(1e8 * (hi - 500), rel=1e-12)
 
     def test_sampled_matches_smooth_function(self):
         nodes = np.geomspace(0.1, 100.0, 400)

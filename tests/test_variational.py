@@ -278,7 +278,7 @@ class TestSharpness:
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_widest_m2_sweep_within_split_budget(self, n):
         # the L^p mass of the sampled iterate at ln(R/s0) = 58 needs some
-        # 2,500 panel splits, close to the default max_subdivisions of 4000
+        # 2,500 panel splits, close to the budget numerics.MAX_SPLITS of 4000
         res = sharpness_sweep(n, 2, 2.0, log_ratios=(58.0,))
         assert 0.0 < res.points[0].quotient < res.constant
 

@@ -10,3 +10,12 @@ def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match is not None
     assert hpoincare.__version__ == match.group(1)
+
+
+def test_all_names_resolve():
+    names = hpoincare.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(hpoincare, n)] == []
+    namespace = {}
+    exec("from hpoincare import *", namespace)
+    assert set(names) <= set(namespace)
