@@ -134,11 +134,8 @@ def inverse_area_tail(s, p: float, sp: SpaceParams):
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr <= 0):
         raise numerics.DomainError("volume coordinate must be positive")
-    integrand = lambda t: surface_measure(t, sp) ** (-pc)
-    out = np.array([
-        numerics.integrate(integrand, float(si), np.inf, tail_decay=pc)
-        for si in s_arr
-    ])
+    out = numerics.integrate(lambda t, i: surface_measure(t, sp) ** (-pc), s_arr, np.inf,
+                             tail_decay=pc)
     return float(out[0]) if scalar else out
 
 
@@ -261,11 +258,10 @@ def sandwich_decomposition(params: ExtremizerParams, iterate: RadialProfile,
     p, eps = params.p, params.eps
     n = params.sp.n
     c = (p * params.p_conj / (n - 1.0) ** 2) ** index
-    nodes = getattr(iterate, "fine_nodes", None)
-    values = getattr(iterate, "fine_values", None)
-    if nodes is None:
-        nodes = np.geomspace(params.s0 * 1e-6, 2 * params.R * 1e3, 4096)
-        values = np.asarray(iterate(nodes), dtype=float)
+    if not hasattr(iterate, "fine_nodes"):
+        raise ValueError("sandwich_decomposition needs an iterate from inverse_laplacian, "
+                         "which carries its fine-grid nodes and values")
+    nodes, values = iterate.fine_nodes, iterate.fine_values
     f = extremizer_profile(params)(nodes)
     upper = c * f
     lower = (1.0 + eps) ** (-2.0 * index) * c * f
@@ -293,16 +289,13 @@ def second_order_majorant(f: RadialProfile, sp: SpaceParams, p: float) -> Radial
         return t * favg(t) / surface_measure(t, sp) ** 2
 
     support = fstar.support_end()
-    bks = [b for b in favg.breakpoints]
+    bks = favg.breakpoints
 
     def h_val(s):
         s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
-        for i, si in enumerate(s):
-            out[i] = numerics.integrate(integrand, float(si), np.inf,
-                                        breakpoints=[b for b in bks if b > si],
-                                        tail_decay=2.0 if support is not None else 1.0 + (favg.tail_bound or 0.0))
-        return out
+        return numerics.integrate(lambda t, i: integrand(t), s.ravel(), np.inf, breakpoints=bks,
+                                  tail_decay=2.0 if support is not None
+                                  else 1.0 + (favg.tail_bound or 0.0)).reshape(s.shape)
 
     def h_d1(s):
         return -integrand(np.asarray(s, dtype=float))

@@ -6,16 +6,20 @@ in one call of the integrand and counts panel splits against
 `MAX_SPLITS`. Wide spans are integrated in t = ln s, and semi-infinite
 integrals have a single tail rule: extend by chunks [B, 8B] until both the
 declared power-law majorant at B and the last chunk's mass are within
-tolerance. `batched_gauss` is a fixed Gauss-Legendre rule over many
-intervals, for the L^p masses of costly callable segments and the
-small-radius panel of the ball volume. `illinois` is the one bracketed
-root-finder, a safeguarded regula falsi vectorized over many problems; it
-serves the rearrangement. Also: log-spaced grids. The module, like the
-package, needs numpy alone.
+tolerance. Given arrays of ends it integrates k problems at once, finite
+or semi-infinite, with one integrand call f(s, i) per level for all of
+them; each result is bit-identical to its own scalar call.
+`batched_gauss` is a fixed Gauss-Legendre rule over many intervals, for
+the L^p masses of costly callable segments and the small-radius panel of
+the ball volume. `illinois` is the one bracketed root-finder, a
+safeguarded regula falsi vectorized over many problems; it serves the
+rearrangement. Also: log-spaced grids. The module, like the package, needs
+numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,25 +102,6 @@ _W21[1:10:2, 1] = _WG
 _W21[19:10:-2, 1] = _WG
 
 
-def _kronrod(fv, lo, hi, log):
-    """K21 estimates and |K21 - G10| error estimates on the panels
-    [lo_i, hi_i], all evaluated in one call of fv. A panel flagged in log
-    lives in t = ln s and integrates fv(e^t) e^t."""
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _X21
-    s = x.copy()
-    s[log] = np.exp(x[log])
-    vals = fv(s.ravel()).reshape(s.shape)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        val, at = vals[bad][0], float(s[bad][0])
-        raise QuadratureError(
-            f"integrand returned {'NaN' if np.isnan(val) else val} at {at!r}")
-    jacobian = np.where(log[:, None], s, 1.0)
-    kg = half[:, None] * ((vals * jacobian) @ _W21)
-    return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
-
-
 def _panels(a, b, breakpoints):
     """Initial panels of [a, b] as (lo, hi, log) rows: [a, b] is cut at the
     breakpoints, and a piece spanning more than a factor 20 is integrated in
@@ -133,51 +118,168 @@ def _panels(a, b, breakpoints):
     return rows
 
 
-def _adaptive(fv, a, b, breakpoints, budget):
-    """Adaptive bisection of the initial panels of [a, b] with a G10/K21
-    error estimate; every panel still open at a level is evaluated in one
-    call of fv. A panel is accepted when its error estimate is within
-    max(ABS_TOL, REL_TOL * scale) * max(width fraction, 1e-3), where the
-    scale and the width fraction refer to the initial panel it came from;
-    budget[0] counts the splits left."""
-    rows = _panels(a, b, breakpoints)
-    lo, hi, log = (np.array(col) for col in zip(*rows))
-    origin = np.arange(len(rows))
-    width = hi - lo
-    totals = np.zeros(len(rows))
-    scale = None
-    err_total = 0.0
+def _rule(fj, prob, batched):
+    """K21 and G10 sums of the rows of fj (one panel each) in a (panels, 2)
+    array. BLAS rounds a row of a matrix product differently with the
+    number of rows, so in the batched form each problem's rows go through a
+    product of their own, in their scalar order: a batched result is then
+    bit-identical to its scalar call."""
+    if not batched:
+        return fj @ _W21
+    order = np.argsort(prob, kind="stable")
+    fj = fj[order]
+    ends = np.cumsum(np.bincount(prob)).tolist()
+    out = np.empty((fj.shape[0], 2))
+    out[order] = np.concatenate([fj[lo:hi] @ _W21 for lo, hi in zip([0] + ends, ends) if lo < hi])
+    return out
+
+
+def _solve(call, a, b, breakpoints, tail_decay, batched):
+    """The integrals of `integrate` for the problems [a_i, b_i], by one
+    G10/K21 bisection over all of them.
+
+    Each problem integrates one piece at a time: [a_i, b_i], or [a_i, B_i]
+    and then chunks [B_i, 8 B_i] while the tail test fails. A panel is
+    accepted when its error estimate is within
+    max(ABS_TOL, REL_TOL * scale) * max(width fraction, 1e-3), where scale
+    and width refer to the initial panel it came from. The one call of a
+    level also takes f at the right end of each tail piece starting there,
+    for the majorant. The lowest-numbered problem failing at a level raises.
+    """
+    k = a.size
+    tail = np.isinf(b)
+    bks = [float(c) for c in breakpoints if np.isfinite(c)]
+    # right end of each problem's current piece: b, or the truncation point
+    right = b.copy()
+    rows = []
+    for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
+        if math.isinf(bi):
+            right[i] = bi = max([2.0 * abs(ai), 1.0, ai + 1.0] + [2.0 * c for c in bks if c > ai])
+        rows += [(lo, hi, log, i) for lo, hi, log in _panels(ai, bi, bks)]
+    lo, hi, log, iprob = (np.array(col) for col in zip(*rows))
+    org = np.arange(lo.size)  # the initial panel each open panel came from
+    # per initial panel: width, scale (set at its first evaluation), running
+    # total; iprob is its problem, or k once its piece is done
+    width, scale, totals = hi - lo, np.zeros(lo.size), np.zeros(lo.size)
+    live = np.ones(k, dtype=bool)  # problems with open panels
+    budget = np.full(k, MAX_SPLITS)
+    total, part, err_total = np.zeros(k), np.zeros(k), np.zeros(k)
+    remainder = np.zeros(k)  # majorant |f(B)| B / (tail_decay - 1) of the tail beyond B
+    growing = np.zeros(k, dtype=int)  # tail chunks in a row that outweighed the one before
+    chunks = np.zeros(k, dtype=int)  # tail chunks started
+    starting = np.flatnonzero(tail)  # tail problems whose piece starts this level
+    fresh = org  # initial panels evaluated for the first time this level
+
+    def fail(i, message, estimate=None, error_bound=None):
+        if growing[i]:
+            message = (f"integrand does not decay like s^-{tail_decay:g}: the tail chunk "
+                       f"masses grew {growing[i]} times in a row, to {abs(part[i]):.3g} on "
+                       f"[{right[i] / 8.0:g}, {right[i]:g}] ({message})")
+        return QuadratureError(f"problem {i}: {message}" if batched else message,
+                               estimate=estimate, error_bound=error_bound)
+
     while lo.size:
-        est, err = _kronrod(fv, lo, hi, log)
-        if scale is None:
-            scale = np.maximum(np.abs(est), ABS_TOL)
-        tol = (np.maximum(ABS_TOL, REL_TOL * scale[origin])
-               * np.maximum((hi - lo) / width[origin], 1e-3))
+        prob = iprob[org]
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _X21
+        s = x.copy()
+        s[log] = np.exp(x[log])
+        pts = s.ravel()
+        owner = np.repeat(prob, 21) if batched else None
+        if starting.size:
+            probes = right[starting] * np.where(chunks[starting] > 0, 8.0, 1.0)
+            pts = np.concatenate([pts, probes])
+            owner = np.concatenate([owner, starting]) if batched else None
+        vals = np.asarray(call(pts, owner), dtype=float)
+        if vals.shape != pts.shape:
+            raise ValueError(
+                "the integrand must be vectorized: f(s), and f(s, i) in the batched form "
+                "where i holds the problem index of each abscissa, must map a 1-d array "
+                f"of abscissae to an array of the same shape; got shape {vals.shape} "
+                f"for {pts.shape}")
+        if starting.size:
+            remainder[starting] = np.abs(vals[s.size:]) * probes / (tail_decay - 1.0)
+            vals = vals[:s.size]
+        vals = vals.reshape(s.shape)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            i = prob[bad.any(axis=1)].min()
+            mine = bad & (prob == i)[:, None]
+            val, at = vals[mine][0], float(s[mine][0])
+            raise fail(i, f"integrand returned {'NaN' if np.isnan(val) else val} at {at!r}")
+        # a panel flagged in log lives in t = ln s and integrates f(e^t) e^t
+        kg = half[:, None] * _rule(vals * np.where(log[:, None], s, 1.0), prob, batched)
+        est, err = kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
+        if fresh.size:
+            # initial panels come last in the level's panels
+            scale[fresh] = np.maximum(np.abs(est[-fresh.size:]), ABS_TOL)
+        tol = (np.maximum(ABS_TOL, REL_TOL * scale[org])
+               * np.maximum((hi - lo) / width[org], 1e-3))
         done = (err <= tol) | ((hi - lo) < 1e-14 * (np.abs(lo) + np.abs(hi) + 1.0))
-        np.add.at(totals, origin[done], est[done])
-        err_total += float(np.sum(err[done]))
+        np.add.at(totals, org[done], est[done])
+        err_total += np.bincount(prob[done], weights=err[done], minlength=k)
         scale = np.maximum(scale, np.abs(totals))
         split = ~done
-        budget[0] -= int(np.count_nonzero(split))
-        if budget[0] <= 0:
-            raise QuadratureError(
-                f"quadrature did not converge within {MAX_SPLITS} panel splits",
-                estimate=float(np.sum(totals) + np.sum(est[split])),
-                error_bound=err_total + float(np.sum(err[split])))
-        lo, hi, log, origin = lo[split], hi[split], log[split], origin[split]
+        splits = np.bincount(prob[split], minlength=k)
+        budget -= splits
+        if (budget <= 0).any():
+            i = np.flatnonzero(budget <= 0)[0]
+            mine = split & (prob == i)
+            raise fail(i, f"quadrature did not converge within {MAX_SPLITS} panel splits",
+                       float(total[i] + np.sum(totals[iprob == i]) + np.sum(est[mine])),
+                       float(err_total[i] + np.sum(err[mine])))
+        lo, hi, log, org = lo[split], hi[split], log[split], org[split]
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        log, origin = np.concatenate([log, log]), np.concatenate([origin, origin])
-    return float(np.sum(totals)), err_total
+        log, org = np.concatenate([log, log]), np.concatenate([org, org])
+        starting = fresh = org[:0]
+        # problems whose piece is done: add it up, then finish or start a chunk
+        ended = np.flatnonzero(live & (splits == 0))
+        if not ended.size:
+            continue
+        live[ended] = False
+        ends = ended[tail[ended]]
+        prev = part[ends]
+        part[ended] = np.bincount(iprob, weights=totals, minlength=k + 1)[ended]
+        total[ended] += part[ended]
+        if not ends.size:
+            continue
+        chunk = chunks[ends] > 0
+        growing[ends] = np.where(chunk & (np.abs(part[ends]) > np.abs(prev)),
+                                 growing[ends] + 1, 0)
+        right[ends] *= np.where(chunk, 8.0, 1.0)
+        stuck = ends[~np.isfinite(total[ends]) | (chunks[ends] >= 300)]
+        if stuck.size:
+            i = stuck[0]
+            raise fail(i, "tail truncation did not converge", float(total[i]),
+                       float(err_total[i]))
+        t_tol = np.maximum(ABS_TOL, REL_TOL * np.abs(total[ends]))
+        starting = ends[~((remainder[ends] <= t_tol) & (np.abs(part[ends]) <= t_tol))]
+        if not starting.size:
+            continue
+        retired = np.zeros(k + 1, dtype=bool)
+        retired[starting] = True
+        iprob[retired[iprob]] = k
+        live[starting] = True
+        chunks[starting] += 1
+        fresh = width.size + np.arange(starting.size)
+        width = np.concatenate([width, 7.0 * right[starting]])
+        scale = np.concatenate([scale, np.zeros(starting.size)])
+        totals = np.concatenate([totals, np.zeros(starting.size)])
+        iprob = np.concatenate([iprob, starting])
+        lo, hi = np.concatenate([lo, right[starting]]), np.concatenate([hi, 8.0 * right[starting]])
+        log = np.concatenate([log, np.zeros(starting.size, dtype=bool)])
+        org = np.concatenate([org, fresh])
+    return total
 
 
-def integrate(f, a, b, breakpoints=(), tail_decay: float | None = None) -> float:
+def integrate(f, a, b, breakpoints=(), tail_decay: float | None = None):
     """Integrate f over [a, b] by adaptive G10/K21 Gauss-Kronrod bisection.
 
     [a, b] is cut at the breakpoints; pieces spanning more than a factor 20
     are integrated in t = ln s. Every panel still open at a bisection level
-    is evaluated in one call of f, so f must be vectorized: it maps an array
-    of abscissae to an array of the same shape. Each initial panel is
+    is evaluated in one call of f, so f must be vectorized: it maps a 1-d
+    array of abscissae to an array of the same shape. Each initial panel is
     integrated to max(ABS_TOL, REL_TOL * its magnitude), and MAX_SPLITS
     bounds the number of panel splits over the whole call.
 
@@ -186,51 +288,40 @@ def integrate(f, a, b, breakpoints=(), tail_decay: float | None = None) -> float
     chunks [B, 8B] until both the majorant |f(B)| B / (tail_decay - 1) of
     the remainder and the mass of the last chunk are within tolerance.
 
+    Batched form: when a or b is an array, they broadcast to shape (k,) and
+    the k integrals over [a_i, b_i], finite or not, are returned as an
+    array. f is then called as f(s, i), where i holds the problem index of
+    each abscissa, and one call serves the open panels of every problem.
+    The breakpoints are shared, each problem using those inside its
+    interval; every problem keeps its own panels, tolerance, MAX_SPLITS
+    budget, truncation point and chunks, so each result equals that of its
+    own scalar call. Scalar a and b are the case k = 1, with f(s).
+
     Raises QuadratureError, with the best estimate and its error bound, on a
     NaN or infinite value of f, when the splits run out, or when the tail
     does not converge; a failure while the tail chunk masses still grow is
-    reported as missing decay.
+    reported as missing decay. In the batched form the message starts with
+    the index of the failing problem. ValueError if f breaks the shape rule.
     """
-    if not (a < b):
+    batched = np.ndim(a) > 0 or np.ndim(b) > 0
+    if batched:
+        a, b = (np.array(x, dtype=float) for x in np.broadcast_arrays(a, b))
+        if a.ndim != 1:
+            raise ValueError("a and b must broadcast to one dimension")
+    else:
+        a, b = np.array([a], dtype=float), np.array([b], dtype=float)
+    if not (a < b).all():
         raise ValueError("need a < b")
-    if np.isinf(b) and (tail_decay is None or tail_decay <= 1):
+    if np.isinf(b).any() and (tail_decay is None or tail_decay <= 1):
         raise ValueError("semi-infinite integral needs tail decay exponent > 1")
-    fv = lambda x: np.asarray(f(x), dtype=float)
-    budget = [MAX_SPLITS]
-    # _kronrod raises on a non-finite value of f, naming it and its
-    # abscissa, so numpy's overflow and invalid-value warnings inside f
-    # would only repeat that
+    if not a.size:
+        return np.zeros(0)
+    call = f if batched else (lambda s, i: f(s))
+    # a NaN or infinite value of f is raised naming it and its abscissa, so
+    # numpy's overflow and invalid-value warnings inside f would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isinf(b):
-            return _adaptive(fv, a, b, breakpoints, budget)[0]
-        bks = [float(c) for c in breakpoints if np.isfinite(c)]
-        B = max([2.0 * abs(a), 1.0, a + 1.0] + [2.0 * c for c in bks if c > a])
-        total, err = _adaptive(fv, a, B, bks, budget)
-        part = total  # [a, B] counts as the first chunk
-        growing = 0  # chunks in a row that outweighed the one before
-        try:
-            for _ in range(300):
-                if not np.isfinite(total):
-                    break
-                tol = max(ABS_TOL, REL_TOL * abs(total))
-                majorant = abs(float(fv(np.array([B]))[0])) * B / (tail_decay - 1.0)
-                if majorant <= tol and abs(part) <= tol:
-                    return total
-                prev = part
-                part, e = _adaptive(fv, B, 8.0 * B, (), budget)
-                total += part
-                err += e
-                growing = growing + 1 if abs(part) > abs(prev) else 0
-                B *= 8.0
-            raise QuadratureError("tail truncation did not converge",
-                                  estimate=total, error_bound=err)
-        except QuadratureError as exc:
-            if not growing:
-                raise
-            raise QuadratureError(
-                f"integrand does not decay like s^-{tail_decay:g}: the tail chunk masses "
-                f"grew {growing} times in a row, to {abs(part):.3g} on [{B / 8.0:g}, {B:g}] "
-                f"({exc})", estimate=exc.estimate, error_bound=exc.error_bound) from exc
+        out = _solve(call, a, b, breakpoints, tail_decay, batched)
+    return out if batched else float(out[0])
 
 
 def batched_gauss(fn, a, b, order: int = 16) -> np.ndarray:

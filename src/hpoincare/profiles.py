@@ -5,8 +5,8 @@ A RadialProfile partitions [0, inf) into segments: sums of power terms
 monotone piecewise-cubic (PCHIP) interpolation in ln s, and lazily
 evaluated callables (used by the rearrangement machinery). Every segment
 integrates itself through `primitive_from_lo`: in closed form for power sums
-(and for pieces of a decreasing rearrangement), by adaptive quadrature
-otherwise.
+(and for pieces of a decreasing rearrangement), by one batched adaptive
+quadrature over the abscissae otherwise.
 """
 
 from __future__ import annotations
@@ -37,11 +37,13 @@ class Segment:
         raise NotImplementedError
 
     def primitive_from_lo(self, s):
-        """Vectorized integral of value over [s_lo, s], by adaptive
-        quadrature for each abscissa."""
+        """Vectorized integral of value over [s_lo, s], by one batched
+        adaptive quadrature over the abscissae."""
         s = np.asarray(s, dtype=float)
-        return np.array([numerics.integrate(self.value, self.s_lo, x) if x > self.s_lo
-                         else 0.0 for x in s.ravel()]).reshape(s.shape)
+        out = np.zeros(s.shape)
+        right = s > self.s_lo
+        out[right] = numerics.integrate(lambda t, i: self.value(t), self.s_lo, s[right])
+        return out
 
     def lp_mass(self, p, tail_bound=None):
         """Integral of |value|^p over the segment, or None to defer to the

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extremizers, numerics
-from .geometry import SpaceParams, surface_measure
+from .geometry import (SpaceParams, log_sphere_area_of_radius, radial_laplacian_geodesic,
+                       surface_measure)
 from .numerics import DomainError
 from .profiles import RadialProfile
 
@@ -69,41 +70,93 @@ class PoincareParams:
         return sharp_constant(self.n, self.m, self.p)
 
 
-class TestFunction:
+def _horner(coef, x):
+    """The polynomial with coefficients coef (lowest degree first) at x, in
+    the operation order of numpy.polynomial.polynomial.polyval."""
+    if coef.size == 1:
+        return np.full_like(x, coef[0])
+    out = coef[-1] * x + coef[-2]
+    for c in coef[-3::-1]:
+        out = out * x + c
+    return out
+
+
+class ExpRadial:
+    """Radial function m(rho) e^(-alpha rho) kept in the log domain.
+
+    The mantissa is m(rho) = P(rho) + c coth(rho) Q(rho), with P and Q
+    given by coefficient arrays (lowest degree first) and Q(0) = 0, so the
+    coth term has the limit c Q'(0) at the origin. The norm kernel adds
+    -alpha rho to log|m| instead of forming the product, which underflows
+    at radii where the integrand is still finite.
+    """
+
+    def __init__(self, p_coef, alpha: float, q_coef=(0.0,), c: float = 0.0):
+        self.p_coef = np.asarray(p_coef, dtype=float)
+        self.q_coef = np.asarray(q_coef, dtype=float)
+        self.c = float(c)
+        self.alpha = float(alpha)
+        self._origin = self.c * (self.q_coef[1] if self.q_coef.size > 1 else 0.0)
+
+    def mantissa(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        out = _horner(self.p_coef, rho)
+        if self.c:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coth_term = self.c * _horner(self.q_coef, rho) / np.tanh(rho)
+            out = out + np.where(rho == 0.0, self._origin, coth_term)
+        return out
+
+    def __call__(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        return self.mantissa(rho) * np.exp(-self.alpha * rho)
+
+
+class TestFunction(ExpRadial):
     """Radial test function P(rho) * exp(-alpha * rho) with polynomial P.
 
     Smooth at the origin is enforced by requiring P'(0) = alpha * P(0), so
     the radial derivative vanishes at rho = 0. Integrability of the norms
-    requires alpha > (n-1)/p.
+    requires alpha > (n-1)/p. The derivatives are (P1, P2)(rho) e^(-alpha rho)
+    with P1 = P' - alpha P and P2 = P1' - alpha P1, built once.
     """
 
     def __init__(self, coeffs, alpha: float):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.ndim != 1 or len(self.coeffs) == 0:
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 1 or len(coeffs) == 0:
             raise ValueError("need a nonempty 1-d coefficient array")
         if alpha <= 0:
             raise ValueError("decay rate alpha must be positive")
-        self.alpha = float(alpha)
-        self.poly = np.polynomial.Polynomial(self.coeffs)
-        d1_at_0 = self.poly.deriv()(0.0)
-        if not math.isclose(d1_at_0, alpha * self.coeffs[0],
+        super().__init__(coeffs, alpha)
+        self.coeffs = coeffs
+        if not math.isclose(coeffs[1] if coeffs.size > 1 else 0.0, self.alpha * coeffs[0],
                             rel_tol=1e-12, abs_tol=1e-12):
             raise ValueError("smoothness at the origin needs P'(0) = alpha * P(0)")
-        a = self.alpha
-        self._p1 = self.poly.deriv() - a * self.poly
-        self._p2 = self._p1.deriv() - a * self._p1
+        # imported here, not at module level: the CLI starts without it
+        from numpy.polynomial import polynomial as P
 
-    def __call__(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return self.poly(rho) * np.exp(-self.alpha * rho)
+        a = self.alpha
+        self._p1 = P.polysub(P.polyder(coeffs), a * coeffs)
+        self._p2 = P.polysub(P.polyder(self._p1), a * self._p1)
+
+    @property
+    def poly(self):
+        return np.polynomial.Polynomial(self.coeffs)
+
+    def gradient(self) -> ExpRadial:
+        """u' in the log domain (its absolute value is the gradient length)."""
+        return ExpRadial(self._p1, self.alpha)
+
+    def laplacian(self, n: int) -> ExpRadial:
+        """Delta u = (P2 + (n-1) coth(rho) P1)(rho) e^(-alpha rho) on
+        hyperbolic n-space, in the log domain; P1(0) = 0 keeps it finite."""
+        return ExpRadial(self._p2, self.alpha, self._p1, n - 1)
 
     def d1(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return self._p1(rho) * np.exp(-self.alpha * rho)
+        return self.gradient()(rho)
 
     def d2(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return self._p2(rho) * np.exp(-self.alpha * rho)
+        return ExpRadial(self._p2, self.alpha)(rho)
 
     @classmethod
     def random(cls, n: int, p: float, seed: int = 1) -> "TestFunction":
@@ -124,74 +177,59 @@ class TestFunction:
 _GEODESIC_TAIL = {"breakpoints": (20.0,), "tail_decay": 2.0}
 
 
-def _weighted_power(values, rho, sp: SpaceParams, p: float, log_offset=None):
-    """|values * exp(log_offset)|^p * (sphere area at rho), computed through
-    logarithms so that slowly decaying integrands survive radii where either
-    sinh^(n-1) overflows or the bare values underflow (the product is finite
-    even when the factors are not)."""
-    from .geometry import log_sphere_area_of_radius
+def lp_norm_geodesic(u, sp: SpaceParams, p: float):
+    """L^p norm of a radial function u(rho) over hyperbolic space, or the
+    array of norms of a list of them from one batched quadrature.
 
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), values.shape)
-    out = np.zeros_like(values)
-    live = values != 0.0
-    if np.any(live):
-        log_mag = np.log(np.abs(values[live]))
-        if log_offset is not None:
-            log_mag = log_mag + np.broadcast_to(
-                np.asarray(log_offset, dtype=float), values.shape)[live]
-        log_area = log_sphere_area_of_radius(rho[live], sp)
-        out[live] = np.exp(p * log_mag + log_area)
-    return out
+    The integrand |u|^p times the sphere area is formed through logarithms,
+    exp(p log|m| - p alpha rho + log area), so it survives radii where
+    sinh^(n-1) overflows or u underflows. An ExpRadial supplies its
+    mantissa m and alpha; any other callable is its own mantissa.
+    """
+    batched = isinstance(u, (list, tuple))
+    terms = [(f.mantissa, f.alpha) if isinstance(f, ExpRadial) else (f, 0.0)
+             for f in (u if batched else [u])]
+
+    def density(r, i=None):
+        if i is None:
+            mant, alpha = terms[0]
+            mant, offset = mant(r), -alpha * r
+        else:
+            mant, offset = np.empty_like(r), np.empty_like(r)
+            for j, (fn, alpha) in enumerate(terms):
+                sel = i == j
+                mant[sel], offset[sel] = fn(r[sel]), -alpha * r[sel]
+        with np.errstate(divide="ignore"):
+            log_mag = np.log(np.abs(mant)) + offset
+        return np.exp(p * log_mag + log_sphere_area_of_radius(r, sp))
+
+    if not batched:
+        return numerics.integrate(density, 0.0, np.inf, **_GEODESIC_TAIL) ** (1.0 / p)
+    masses = numerics.integrate(density, np.zeros(len(terms)), np.inf, **_GEODESIC_TAIL)
+    # the root of each mass as a float: numpy's vectorized power can round
+    # differently from the scalar pow of the single-function call
+    return np.array([m ** (1.0 / p) for m in masses.tolist()])
 
 
-def _test_function_integrand(u, sp: SpaceParams, p: float, mantissa):
-    """Integrand with the exponential factor of a TestFunction kept in the
-    log domain: mantissa(rho) is the polynomial part of the derivative."""
-    def fn(r):
-        r = np.asarray(r, dtype=float)
-        return _weighted_power(mantissa(r), r, sp, p, log_offset=-u.alpha * r)
-    return fn
+def _gradient(u):
+    return u.gradient() if isinstance(u, TestFunction) else u.d1
 
 
-def lp_norm_geodesic(u, sp: SpaceParams, p: float) -> float:
-    """L^p norm of a radial function u(rho) over hyperbolic space."""
+def _laplacian(u, sp: SpaceParams):
     if isinstance(u, TestFunction):
-        fn = _test_function_integrand(u, sp, p, u.poly)
-    else:
-        fn = lambda r: _weighted_power(u(r), r, sp, p)
-    return numerics.integrate(fn, 0.0, np.inf, **_GEODESIC_TAIL) ** (1.0 / p)
+        return u.laplacian(sp.n)
+    return lambda r: radial_laplacian_geodesic(u, r, sp)
 
 
 def grad_norm_geodesic(u, sp: SpaceParams, p: float) -> float:
     """L^p norm of the gradient of a radial function u(rho): |u'| is the
     pointwise gradient length."""
-    if isinstance(u, TestFunction):
-        fn = _test_function_integrand(u, sp, p, u._p1)
-    else:
-        fn = lambda r: _weighted_power(u.d1(r), r, sp, p)
-    return numerics.integrate(fn, 0.0, np.inf, **_GEODESIC_TAIL) ** (1.0 / p)
+    return lp_norm_geodesic(_gradient(u), sp, p)
 
 
 def laplacian_norm_geodesic(u, sp: SpaceParams, p: float) -> float:
     """L^p norm of the Laplacian of a radial function u(rho)."""
-    from .geometry import radial_laplacian_geodesic
-
-    if isinstance(u, TestFunction):
-        # Laplacian of P(rho) e^{-alpha rho} is
-        # (P2(rho) + (n-1) coth(rho) P1(rho)) e^{-alpha rho}; P1 vanishes
-        # at the origin so the coth factor stays finite there
-        def mantissa(r):
-            r = np.asarray(r, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                coth_term = (sp.n - 1) * u._p1(r) / np.tanh(r)
-            coth_term = np.where(r == 0.0, (sp.n - 1) * u._p1.deriv()(r), coth_term)
-            return u._p2(r) + coth_term
-
-        fn = _test_function_integrand(u, sp, p, mantissa)
-    else:
-        fn = lambda r: _weighted_power(radial_laplacian_geodesic(u, r, sp), r, sp, p)
-    return numerics.integrate(fn, 0.0, np.inf, **_GEODESIC_TAIL) ** (1.0 / p)
+    return lp_norm_geodesic(_laplacian(u, sp), sp, p)
 
 
 def lp_norm_volume(v: RadialProfile, p: float) -> float:
@@ -221,15 +259,16 @@ class InequalityReport:
 
 def check_inequality(u: TestFunction, params: PoincareParams) -> InequalityReport:
     """Evaluate both sides of the order-m inequality on a radial test
-    function (m <= 2 for direct evaluation)."""
+    function (m <= 2 for direct evaluation): ||u||_p and ||D^m u||_p come
+    from one batched quadrature."""
     sp = SpaceParams(params.n)
-    lhs = lp_norm_geodesic(u, sp, params.p)
     if params.m == 1:
-        dnorm = grad_norm_geodesic(u, sp, params.p)
+        du = _gradient(u)
     elif params.m == 2:
-        dnorm = laplacian_norm_geodesic(u, sp, params.p)
+        du = _laplacian(u, sp)
     else:
         raise DomainError("direct evaluation supports m <= 2")
+    lhs, dnorm = (float(x) for x in lp_norm_geodesic([u, du], sp, params.p))
     c = params.constant
     rhs = c * dnorm
     return InequalityReport(lhs, rhs, c, rhs - lhs, lhs / rhs if rhs else math.inf,

@@ -13,7 +13,7 @@ from hpoincare.extremizers import (ExtremizerParams, _cumulative_simpson,
                                    sandwich_decomposition,
                                    second_order_majorant, select_s0)
 from hpoincare.geometry import SpaceParams, laplacian_volume_coord, surface_measure
-from hpoincare.numerics import GridSpec
+from hpoincare.numerics import GridSpec, integrate
 from hpoincare.profiles import indicator_profile
 from hpoincare.rearrangement import maximal_function
 
@@ -123,6 +123,13 @@ class TestInverseAreaTail:
         with pytest.raises(Exception):
             inverse_area_tail(1.0, 1.0, SP3)
 
+    def test_batched_matches_per_abscissa(self):
+        s = np.geomspace(1e-3, 1e6, 15)
+        pc = 1.7 / 0.7
+        want = [integrate(lambda t: surface_measure(t, SP3) ** (-pc), x, np.inf, tail_decay=pc)
+                for x in s]
+        assert inverse_area_tail(s, 1.7, SP3) == pytest.approx(want, rel=1e-13, abs=0.0)
+
 
 class TestInverseLaplacian:
     def test_inverts_on_interior_nodes(self):
@@ -178,12 +185,28 @@ class TestSandwich:
         assert reps[1].w_norm_p <= 1.5 * reps[0].w_norm_p
 
 
+    def test_needs_inverse_laplacian_result(self):
+        params = make_params(20.0, eps=0.05)
+        with pytest.raises(ValueError, match="inverse_laplacian"):
+            sandwich_decomposition(params, extremizer_profile(params), 1)
+
+
 class TestSecondOrderMajorant:
     def test_positive_decreasing(self):
         h = second_order_majorant(indicator_profile(0.0, 1.0), SP3, 2.0)
         ss = np.geomspace(0.05, 50.0, 40)
         vals = h(ss)
         assert np.all(vals > 0) and np.all(np.diff(vals) < 0)
+
+    def test_batched_matches_per_abscissa(self):
+        prof = indicator_profile(0.0, 1.0)
+        h = second_order_majorant(prof, SP3, 2.0)
+        mf = maximal_function(prof)
+        integrand = lambda t: t * mf(t) / surface_measure(t, SP3) ** 2
+        ss = np.geomspace(0.05, 50.0, 40)
+        want = [integrate(integrand, x, np.inf, breakpoints=[b for b in mf.breakpoints if b > x],
+                          tail_decay=2.0) for x in ss]
+        assert h(ss) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_derivative_is_negative_integrand(self):
         prof = indicator_profile(0.0, 1.0)

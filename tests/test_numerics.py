@@ -36,6 +36,13 @@ class TestIntegrate:
         val = integrate(f, 0.0, 1.0, breakpoints=[0.2, 0.4, 0.6, 0.8])
         assert val == pytest.approx(np.sin(1.0), rel=1e-14)
         assert sizes == [5 * 21]
+        # batched: the 5 + 4 + 2 initial panels of three problems, one call
+        sizes.clear()
+        vals = integrate(lambda s, i: f(s), [0.0, 0.3, 2.0], [1.0, 1.0, 3.0],
+                         breakpoints=[0.2, 0.4, 0.6, 0.8, 2.5])
+        assert vals == pytest.approx(np.sin([1.0, 1.0, 3.0]) - np.sin([0.0, 0.3, 2.0]),
+                                     rel=1e-14)
+        assert sizes == [11 * 21]
 
     def test_tail_needs_small_last_chunk(self):
         # (s-2)^2/s^4 <= s^-2 vanishes at the first truncation point s = 2,
@@ -76,6 +83,68 @@ class TestIntegrate:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             integrate(lambda s: s, 1.0, 1.0)
+
+    def test_scalar_integrand_rejected(self):
+        with pytest.raises(ValueError, match="same shape"):
+            integrate(lambda s: 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="f\\(s, i\\)"):
+            integrate(lambda s, i: np.ones(3), [0.0, 1.0], 2.0)
+
+
+class TestBatchedIntegrate:
+    # three finite problems that use different subsets of the shared
+    # breakpoints (the third spans a factor 1e8 and runs partly in ln s) and
+    # three semi-infinite ones that start below, above and between the cuts
+    A = np.array([0.0, 1.0, 1e-6, 0.1, 4.0, 0.25])
+    B = np.array([4.0, 6.0, 1e2, np.inf, np.inf, np.inf])
+    BREAKS = (0.5, 3.0, 20.0)
+
+    @staticmethod
+    def family(s, i):
+        c = 0.5 + 0.25 * np.asarray(i)
+        return np.exp(-c * s) * (1.0 + np.abs(s - 3.0)) + np.sqrt(s) / (1.0 + s ** 3)
+
+    def test_matches_scalar_calls(self):
+        got = integrate(self.family, self.A, self.B, breakpoints=self.BREAKS, tail_decay=2.0)
+        want = [integrate(lambda s, i=i: self.family(s, i), a, b, breakpoints=self.BREAKS,
+                          tail_decay=2.0) for i, (a, b) in enumerate(zip(self.A, self.B))]
+        assert got.shape == (6,)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_problem_index_passed(self):
+        seen = set()
+
+        def f(s, i):
+            assert i.shape == s.shape
+            seen.update(i.tolist())
+            return self.family(s, i)
+
+        integrate(f, self.A, self.B, breakpoints=self.BREAKS, tail_decay=2.0)
+        assert seen == set(range(6))
+
+    def test_scalar_end_broadcasts(self):
+        got = integrate(lambda s, i: s ** -2.0, np.array([1.0, 2.0, 4.0]), np.inf,
+                        tail_decay=2.0)
+        assert got == pytest.approx([1.0, 0.5, 0.25], rel=1e-10)
+
+    def test_non_decaying_member_named(self):
+        # members 0 and 2 converge in a few chunks; member 1 grows like s
+        # until its total overflows
+        members = []
+
+        def f(s, i):
+            members.append(set(i.tolist()))
+            return np.where(i == 1, s, s ** -2.0)
+
+        with pytest.raises(QuadratureError,
+                           match="^problem 1: integrand does not decay like s\\^-2") as exc:
+            integrate(f, np.ones(3), np.inf, tail_decay=2.0)
+        assert exc.value.estimate > 0
+        assert members[0] == {0, 1, 2} and members[-1] == {1}
+
+    def test_nan_member_named(self):
+        with pytest.raises(QuadratureError, match="^problem 2: integrand returned NaN"):
+            integrate(lambda s, i: np.where(i == 2, np.nan, s), 0.0, np.ones(3))
 
 
 def test_illinois_vectorized():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hpoincare.numerics import QuadratureError
+from hpoincare.numerics import QuadratureError, integrate
 from hpoincare.profiles import (FuncSegment, PowerSegment, RadialProfile,
                                 SampledSegment, _Pchip, constant_profile,
                                 indicator_profile, sampled_profile, zero_tail)
@@ -33,6 +33,16 @@ class TestSegments:
         s = np.geomspace(0.2, 50.0, 31)
         assert np.allclose(seg.value(s), 1 / (1 + s), rtol=1e-6)
         assert np.allclose(seg.deriv(s), -1 / (1 + s) ** 2, rtol=1e-4)
+
+    def test_generic_primitive_matches_per_abscissa(self):
+        # one batched quadrature over the abscissae; those at or left of
+        # s_lo integrate nothing
+        seg = FuncSegment(0.5, 40.0, lambda s: np.exp(-s) * np.sqrt(s))
+        s = np.array([[0.2, 0.5, 0.7], [3.0, 25.0, 40.0]])
+        want = [[integrate(seg.value, 0.5, x) if x > 0.5 else 0.0 for x in row] for row in s]
+        got = seg.primitive_from_lo(s)
+        assert got.shape == s.shape
+        assert got == pytest.approx(np.array(want), rel=1e-13, abs=0.0)
 
     def test_func_segment_fd_derivatives(self):
         seg = FuncSegment(0.1, 10.0, lambda s: s ** 2)

@@ -113,6 +113,17 @@ class TestRadialTestFunction:
             u = RadialTestFunction.random(4, 1.5, seed=seed)
             assert abs(u.d1(np.array([0.0]))[0]) < 1e-12
 
+    def test_log_domain_derivatives_match_oracle(self):
+        # gradient and Laplacian objects against d1 and the generic radial
+        # Laplacian, including its limit n u''(0) at the origin
+        from hpoincare.geometry import radial_laplacian_geodesic
+        u = RadialTestFunction.random(4, 1.5, seed=11)
+        sp = SpaceParams(4)
+        rho = np.array([0.0, 1e-3, 0.4, 2.0, 9.0])
+        assert np.allclose(u.gradient()(rho), u.d1(rho), rtol=1e-14, atol=0.0)
+        assert np.allclose(u.laplacian(4)(rho), radial_laplacian_geodesic(u, rho, sp),
+                           rtol=1e-12, atol=0.0)
+
     def test_random_is_deterministic(self):
         a = RadialTestFunction.random(3, 2.0, seed=9)
         b = RadialTestFunction.random(3, 2.0, seed=9)
@@ -241,6 +252,17 @@ class TestInequality:
         reps = corollary_chain(RadialTestFunction.random(3, 2.0, seed=3),
                                PoincareParams(3, 2, 2.0))
         assert len(reps) == 2 and all(r.holds for r in reps)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("p", [1.2, 2.0, 6.0])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_quadrature_matches_separate_norms(self, n, p, m):
+        sp = SpaceParams(n)
+        u = RadialTestFunction.random(n, p, seed=7 * n + m)
+        rep = check_inequality(u, PoincareParams(n, m, p))
+        dnorm = (grad_norm_geodesic if m == 1 else laplacian_norm_geodesic)(u, sp, p)
+        assert rep.lhs == pytest.approx(lp_norm_geodesic(u, sp, p), rel=1e-13)
+        assert rep.rhs == pytest.approx(sharp_constant(n, m, p) * dnorm, rel=1e-13)
 
     def test_m_cap(self):
         with pytest.raises(DomainError):
