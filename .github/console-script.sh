@@ -1,0 +1,13 @@
+#!/bin/sh
+# Runs the installed `hpoincare` console script on the README's commands
+# and checks that hardy-demo prints the same bytes twice.
+# Usage: sh .github/console-script.sh  (after `python -m pip install -e .`)
+set -eu
+tmp=${RUNNER_TEMP:-$(mktemp -d)}
+hpoincare constant --n 3 --m 2 --p 2
+hpoincare verify-inequality --n 3 --m 1 --p 2 --count 20 --seed 1 --format csv
+hpoincare sharpness-sweep --n 3 --m 1 --p 2 --log-ratios 25,50,100 --format csv
+hpoincare hardy-demo --count 5 > "$tmp/hardy-1.txt"
+hpoincare hardy-demo --count 5 > "$tmp/hardy-2.txt"
+cmp "$tmp/hardy-1.txt" "$tmp/hardy-2.txt"
+hpoincare selfcheck

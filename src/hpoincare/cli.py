@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: constant, verify-inequality, sharpness-sweep, hardy-demo,
-selfcheck. Output formats: table (default), csv, json. Exit status: 0 if
-all checks passed, 1 if a mathematical check failed, 2 on usage errors.
+selfcheck. Output formats, for all but selfcheck: table (default), csv,
+json. Exit status: 0 if all checks passed, 1 if a mathematical check
+failed, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -109,11 +110,9 @@ def cmd_sharpness_sweep(args, out):
     log_ratios = _parse_log_range(args.log_ratios)
     res = variational.sharpness_sweep(args.n, args.m, args.p, eps=args.eps,
                                       log_ratios=log_ratios)
-    sp = SpaceParams(args.n)
-    s0 = extremizers.select_s0(sp, res.eps)
     rows = []
     for pt in res.points:
-        rows.append((s0 * float(np.exp(pt.log_ratio)), pt.log_ratio,
+        rows.append((res.s0 * float(np.exp(pt.log_ratio)), pt.log_ratio,
                      pt.quotient, pt.fraction_of_sharp))
     rows.append(("extrapolated", "", res.extrapolated,
                  res.extrapolated / res.constant))
@@ -154,13 +153,14 @@ def cmd_hardy_demo(args, out):
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
-def _selfcheck_suites(sp3):
+def _selfcheck_suites():
     """Yield (suite name, callable returning (ok, detail))."""
+    sp3 = SpaceParams(3)
 
     def suite_roundtrip():
         worst = 0.0
         for n in (2, 3, 4, 5, 6):
-            spn = SpaceParams(n) if n != 3 else sp3
+            spn = SpaceParams(n)
             s = np.geomspace(1e-3, 1e6, 200)
             resid = np.abs(ball_volume(radius_for_volume(s, spn), spn) - s)
             worst = max(worst, float(np.max(resid / np.maximum(1e-10 * s, 1e-14))))
@@ -168,9 +168,9 @@ def _selfcheck_suites(sp3):
 
     def suite_volumes():
         rho = np.linspace(0.1, 5.0, 40)
-        v2 = ball_volume(rho, SpaceParams(2) if sp3.n != 2 else sp3)
+        v2 = ball_volume(rho, SpaceParams(2))
         e2 = np.max(np.abs(v2 - 2 * np.pi * (np.cosh(rho) - 1)) / v2)
-        v3 = ball_volume(rho, sp3 if sp3.n == 3 else SpaceParams(3))
+        v3 = ball_volume(rho, sp3)
         e3 = np.max(np.abs(v3 - np.pi * (np.sinh(2 * rho) - 2 * rho)) / v3)
         worst = float(max(e2, e3))
         return worst <= 1e-10, f"closed-form volume rel err {worst:.3e} (<= 1e-10)"
@@ -226,15 +226,10 @@ def _selfcheck_suites(sp3):
 
 
 def cmd_selfcheck(args, out):
-    omega = None
-    if getattr(args, "corrupt_omega", False):
-        from .geometry import unit_ball_volume
-        omega = 1.01 * unit_ball_volume(3)
-    sp3 = SpaceParams(3) if omega is None else SpaceParams(3, omega_n=omega)
     out.write(f"tolerances: rel_tol={REL_TOL:g} abs_tol={ABS_TOL:g} "
               f"max_subdivisions={MAX_SPLITS}\n")
     failures = 0
-    for name, fn in _selfcheck_suites(sp3):
+    for name, fn in _selfcheck_suites():
         try:
             ok, detail = fn()
         except Exception as exc:
@@ -255,14 +250,15 @@ def build_parser():
                     "space: constants, verification, and sharpness sweeps.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_m=True):
-        p.add_argument("--n", type=int, default=3, help="dimension (>= 2)")
-        if need_m:
+    def common(p, nm=True, seed=False):
+        if nm:
+            p.add_argument("--n", type=int, default=3, help="dimension (>= 2)")
             p.add_argument("--m", type=int, default=1, help="derivative order (>= 1)")
         p.add_argument("--p", type=float, default=2.0, help="integrability exponent (> 1)")
         p.add_argument("--format", choices=("csv", "json", "table"), default="table")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=1)
+        if seed:
+            p.add_argument("--seed", type=int, default=1)
 
     pc = sub.add_parser("constant", help="print the sharp constant C(n,m,p)")
     common(pc)
@@ -270,7 +266,7 @@ def build_parser():
 
     pv = sub.add_parser("verify-inequality",
                         help="evaluate both sides on random test functions")
-    common(pv)
+    common(pv, seed=True)
     pv.add_argument("--count", type=int, default=50)
     pv.set_defaults(func=cmd_verify_inequality)
 
@@ -285,16 +281,12 @@ def build_parser():
 
     ph = sub.add_parser("hardy-demo",
                         help="Hardy inequality on rearranged random profiles")
-    common(ph, need_m=False)
+    common(ph, nm=False, seed=True)
     ph.add_argument("--count", type=int, default=10)
     ph.set_defaults(func=cmd_hardy_demo)
 
     pk = sub.add_parser("selfcheck", help="run the full invariant suite")
-    pk.add_argument("--format", choices=("csv", "json", "table"), default="table")
-    pk.add_argument("--output", default=None)
-    pk.add_argument("--seed", type=int, default=1)
-    pk.add_argument("--corrupt-omega", action="store_true",
-                    help=argparse.SUPPRESS)  # fault-injection test hook
+    pk.add_argument("--output", default=None, help="output path (default stdout)")
     pk.set_defaults(func=cmd_selfcheck)
     return ap
 

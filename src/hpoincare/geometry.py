@@ -24,23 +24,19 @@ def unit_ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Fixes the hyperbolic space: dimension n >= 2 and the unit-ball volume.
+    """Fixes the hyperbolic space by its dimension n >= 2.
 
-    omega_n may be overridden (used by the self-check fault-injection hook);
-    by default it is the Euclidean unit-ball volume, so that n * omega_n is
-    the area of the unit sphere.
+    omega_n, derived from n, is the Euclidean unit-ball volume, so that
+    n * omega_n is the area of the unit sphere.
     """
 
     n: int
-    omega_n: float = field(default=None)  # type: ignore[assignment]
+    omega_n: float = field(init=False)
 
     def __post_init__(self):
         if self.n < 2 or int(self.n) != self.n:
             raise DomainError("dimension n must be an integer >= 2")
-        if self.omega_n is None:
-            object.__setattr__(self, "omega_n", unit_ball_volume(self.n))
-        if not (self.omega_n > 0):
-            raise DomainError("omega_n must be positive")
+        object.__setattr__(self, "omega_n", unit_ball_volume(self.n))
 
     @property
     def sphere_area(self) -> float:

@@ -297,11 +297,13 @@ def integrate(f, a, b, breakpoints=(), tail_decay: float | None = None):
     budget, truncation point and chunks, so each result equals that of its
     own scalar call. Scalar a and b are the case k = 1, with f(s).
 
-    Raises QuadratureError, with the best estimate and its error bound, on a
-    NaN or infinite value of f, when the splits run out, or when the tail
-    does not converge; a failure while the tail chunk masses still grow is
-    reported as missing decay. In the batched form the message starts with
-    the index of the failing problem. ValueError if f breaks the shape rule.
+    Raises QuadratureError when the splits run out or the tail does not
+    converge, carrying the best estimate and its error bound; a failure
+    while the tail chunk masses still grow is reported as missing decay.
+    A NaN or infinite value of f raises QuadratureError naming the value and
+    its abscissa, with estimate and error_bound None. In the batched form
+    the message starts with the index of the failing problem. ValueError if
+    f breaks the shape rule.
     """
     batched = np.ndim(a) > 0 or np.ndim(b) > 0
     if batched:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extremizers, numerics
-from .geometry import (SpaceParams, log_sphere_area_of_radius, radial_laplacian_geodesic,
-                       surface_measure)
+from .geometry import SpaceParams, log_sphere_area_of_radius, surface_measure
 from .numerics import DomainError
 from .profiles import RadialProfile
 
@@ -211,25 +210,15 @@ def lp_norm_geodesic(u, sp: SpaceParams, p: float):
     return np.array([m ** (1.0 / p) for m in masses.tolist()])
 
 
-def _gradient(u):
-    return u.gradient() if isinstance(u, TestFunction) else u.d1
-
-
-def _laplacian(u, sp: SpaceParams):
-    if isinstance(u, TestFunction):
-        return u.laplacian(sp.n)
-    return lambda r: radial_laplacian_geodesic(u, r, sp)
-
-
-def grad_norm_geodesic(u, sp: SpaceParams, p: float) -> float:
-    """L^p norm of the gradient of a radial function u(rho): |u'| is the
+def grad_norm_geodesic(u: TestFunction, sp: SpaceParams, p: float) -> float:
+    """L^p norm of the gradient of a radial test function: |u'| is the
     pointwise gradient length."""
-    return lp_norm_geodesic(_gradient(u), sp, p)
+    return lp_norm_geodesic(u.gradient(), sp, p)
 
 
-def laplacian_norm_geodesic(u, sp: SpaceParams, p: float) -> float:
-    """L^p norm of the Laplacian of a radial function u(rho)."""
-    return lp_norm_geodesic(_laplacian(u, sp), sp, p)
+def laplacian_norm_geodesic(u: TestFunction, sp: SpaceParams, p: float) -> float:
+    """L^p norm of the Laplacian of a radial test function."""
+    return lp_norm_geodesic(u.laplacian(sp.n), sp, p)
 
 
 def lp_norm_volume(v: RadialProfile, p: float) -> float:
@@ -263,9 +252,9 @@ def check_inequality(u: TestFunction, params: PoincareParams) -> InequalityRepor
     from one batched quadrature."""
     sp = SpaceParams(params.n)
     if params.m == 1:
-        du = _gradient(u)
+        du = u.gradient()
     elif params.m == 2:
-        du = _laplacian(u, sp)
+        du = u.laplacian(sp.n)
     else:
         raise DomainError("direct evaluation supports m <= 2")
     lhs, dnorm = (float(x) for x in lp_norm_geodesic([u, du], sp, params.p))
@@ -316,6 +305,7 @@ class SweepPoint:
 class SweepResult:
     params: PoincareParams
     eps: float
+    s0: float
     points: list
     extrapolated: float
     constant: float
@@ -336,13 +326,14 @@ def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
     if eps is None:
         eps = 0.01 if m == 1 else 0.05
     sp = SpaceParams(n)
+    s0 = extremizers.select_s0(sp, eps)
     c = params.constant
     pts = []
     for lr in log_ratios:
         if m >= 2 and lr > LOG_RATIO_CAP_HIGH_ORDER:
             raise DomainError(
                 f"log ratio {lr} exceeds the cap {LOG_RATIO_CAP_HIGH_ORDER} for m >= 2")
-        ext = extremizers.ExtremizerParams.create(sp, p, eps, lr)
+        ext = extremizers.ExtremizerParams(eps, s0, s0 * math.exp(lr), p, sp)
         q = rayleigh_quotient(params, ext)
         pts.append(SweepPoint(lr, q, q / c))
     if len(pts) >= 2:
@@ -355,4 +346,4 @@ def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
             extrap = y2
     else:
         extrap = pts[-1].quotient
-    return SweepResult(params, eps, pts, extrap, c)
+    return SweepResult(params, eps, s0, pts, extrap, c)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import hpoincare
+from hpoincare import geometry
 from hpoincare.cli import main
 
 
@@ -103,10 +104,26 @@ class TestSelfcheck:
         assert "all suites passed" in out
         assert "rel_tol" in out  # tolerances reported
 
-    def test_fault_injection_fails_volume_suite(self, capsys):
-        code, out, _ = run_cli(["selfcheck", "--corrupt-omega"], capsys)
+    def test_fault_injection_fails_volume_suite(self, capsys, monkeypatch):
+        # a unit-ball volume 1% off must fail the closed-form volume suite
+        ubv = geometry.unit_ball_volume
+        monkeypatch.setattr(geometry, "unit_ball_volume", lambda n: 1.01 * ubv(n))
+        code, out, _ = run_cli(["selfcheck"], capsys)
         assert code == 1
         assert "[FAIL] closed-form-volumes" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["constant", "--seed", "1"],
+    ["sharpness-sweep", "--seed", "1"],
+    ["hardy-demo", "--n", "3"],
+    ["selfcheck", "--format", "json"],
+    ["selfcheck", "--seed", "1"],
+    ["selfcheck", "--corrupt-omega"],
+])
+def test_option_the_subcommand_does_not_read_is_usage_error(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and "unrecognized arguments" in err
 
 
 class TestOutputFile:

@@ -304,6 +304,21 @@ class TestSharpness:
         res = sharpness_sweep(n, 2, 2.0, log_ratios=(58.0,))
         assert 0.0 < res.points[0].quotient < res.constant
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_sweep_monotone_m3(self, n, p):
+        # odd m >= 3: the first inverse-Laplacian iterate over the gradient
+        # norm of the base profile
+        res = sharpness_sweep(n, 3, p, log_ratios=(10.0, 20.0, 40.0))
+        qs = [pt.quotient for pt in res.points]
+        assert 0.0 < qs[0] < qs[1] < qs[2] < res.constant
+
+    def test_sweep_s0_chosen_once(self):
+        res = sharpness_sweep(3, 2, 2.0, log_ratios=(10.0, 20.0))
+        assert res.s0 == select_s0(SpaceParams(3), 0.05)
+        ext = ExtremizerParams.create(SpaceParams(3), 2.0, 0.05, 20.0)
+        assert res.points[1].quotient == rayleigh_quotient(PoincareParams(3, 2, 2.0), ext)
+
     def test_sweep_cap_for_higher_order(self):
         with pytest.raises(DomainError):
             sharpness_sweep(3, 2, 2.0, log_ratios=(80.0,))
