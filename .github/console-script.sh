@@ -1,6 +1,7 @@
 #!/bin/sh
 # Runs the installed `hpoincare` console script on the README's commands
-# and checks that hardy-demo prints the same bytes twice.
+# and checks that hardy-demo and an m = 2 sharpness sweep (the inverse
+# Laplacian and the volume inversion under it) print the same bytes twice.
 # Usage: sh .github/console-script.sh  (after `python -m pip install -e .`)
 set -eu
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
@@ -10,4 +11,7 @@ hpoincare sharpness-sweep --n 3 --m 1 --p 2 --log-ratios 25,50,100 --format csv
 hpoincare hardy-demo --count 5 > "$tmp/hardy-1.txt"
 hpoincare hardy-demo --count 5 > "$tmp/hardy-2.txt"
 cmp "$tmp/hardy-1.txt" "$tmp/hardy-2.txt"
+hpoincare sharpness-sweep --n 3 --m 2 --p 3 --log-ratios 10,20,40 --format json > "$tmp/sweep-1.json"
+hpoincare sharpness-sweep --n 3 --m 2 --p 3 --log-ratios 10,20,40 --format json > "$tmp/sweep-2.json"
+cmp "$tmp/sweep-1.json" "$tmp/sweep-2.json"
 hpoincare selfcheck

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DomainError, batched_gauss
+from .numerics import DomainError
 
 
 def unit_ball_volume(n: int) -> float:
@@ -45,23 +45,46 @@ class SpaceParams:
 
 
 def _binom_terms(n: int):
-    """Exponents and coefficients of 2^(1-n) expansion of sinh^(n-1)."""
+    """Exponents a and signed binomials c of 2^(n-1) sinh^(n-1) r = sum c e^(a r)."""
     nm1 = n - 1
-    terms = []
-    for k in range(nm1 + 1):
-        a = nm1 - 2 * k
-        coef = math.comb(nm1, k) * (-1.0) ** k / 2.0 ** nm1
-        terms.append((a, coef))
-    return terms
+    return [(nm1 - 2 * k, (-1) ** k * math.comb(nm1, k)) for k in range(n)]
+
+
+# per n, the coefficients b_k of the small-radius series, highest k first
+_SERIES_CACHE: dict[int, list[float]] = {}
+
+
+def _series_coefs(n: int) -> list[float]:
+    """Coefficients b_k of the integral of sinh^(n-1) over [0, rho] as
+    rho^n sum_k b_k rho^(2k).
+
+    Expanding the exponentials of `_binom_terms` gives each b_k as an exact
+    rational, sum_i c_i a_i^(n-1+2k) / (2^(n-1) (n+2k)!), rounded once. All
+    b_k are positive; the sum stops where the next term at rho = 1 is below
+    1e-17 of it (9, 11, 17 and 23 terms for n = 2, 3, 8 and 16).
+    """
+    if n not in _SERIES_CACHE:
+        terms = _binom_terms(n)
+        coefs, total = [], 0.0
+        while True:
+            j = n - 1 + 2 * len(coefs)
+            b = sum(c * a ** j for a, c in terms) / (2 ** (n - 1) * math.factorial(j + 1))
+            if b < 1e-17 * total:
+                break
+            coefs.append(b)
+            total += b
+        _SERIES_CACHE[n] = coefs[::-1]
+    return _SERIES_CACHE[n]
 
 
 def sinh_power_primitive(rho, n: int):
     """Integral of sinh^(n-1) r over [0, rho].
 
-    The binomial expm1 expansion cancels catastrophically for small rho
-    (the result is ~rho^n while the terms are ~rho), so small radii are
-    integrated directly: the integrand is positive and smooth, and a single
-    high-order Gauss panel is exact to machine precision there.
+    For rho >= 1 it sums the binomial expansion in expm1. That expansion
+    cancels catastrophically for small rho (the result is ~rho^n while the
+    terms are ~rho), so below rho = 1 it sums the power series of
+    `_series_coefs` by Horner in rho^2; its terms are all positive, and the
+    two branches meet within 1e-14 relative at rho = 1.
     """
     rho = np.asarray(rho, dtype=float)
     scalar = rho.ndim == 0
@@ -70,12 +93,17 @@ def sinh_power_primitive(rho, n: int):
     small = rho < 1.0
     if np.any(small):
         r_small = rho[small]
-        out[small] = batched_gauss(lambda r: np.sinh(r) ** (n - 1),
-                                   np.zeros_like(r_small), r_small, 32)
+        x = r_small * r_small
+        coefs = _series_coefs(n)
+        acc = coefs[0]
+        for b in coefs[1:]:
+            acc = acc * x + b
+        out[small] = r_small ** n * acc
     big = ~small
     if np.any(big):
         acc = np.zeros_like(rho[big])
-        for a, coef in _binom_terms(n):
+        for a, c in _binom_terms(n):
+            coef = c / 2.0 ** (n - 1)
             if a == 0:
                 acc = acc + coef * rho[big]
             else:
@@ -113,7 +141,11 @@ def radius_for_volume(s, sp: SpaceParams):
 
     Safeguarded vectorized Newton iteration on ln(volume), run until the
     volume is within 1e-13 relative; seeded by the small-ball power law and
-    the large-ball exponential asymptote.
+    the large-ball exponential asymptote. Each step evaluates only the
+    points not yet converged. Raises DomainError, naming the first such
+    volume, when an iterate is not finite (a volume that underflows to 0,
+    or one whose expansion overflows) or 80 steps do not converge (a
+    subnormal volume, resolved to fewer digits than the test asks).
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < 0):
@@ -121,28 +153,38 @@ def radius_for_volume(s, sp: SpaceParams):
     n = sp.n
     rho = np.zeros_like(s_arr)
     pos = s_arr > 0
-    if np.any(pos):
+    # an overflow, or the log of 0, ends as a non-finite iterate, which raises
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sv = s_arr[pos]
         # small-ball seed overestimates the root, the exponential-asymptote
         # seed underestimates it; use the former only for moderate radii to
         # avoid overflowing sinh during the iteration
         seed_small = np.minimum((sv / sp.omega_n) ** (1.0 / n), 3.0)
-        with np.errstate(invalid="ignore"):
-            seed_big = np.log(sv * (n - 1) * 2.0 ** (n - 1) / sp.sphere_area) / (n - 1)
+        seed_big = np.log(sv * (n - 1) * 2.0 ** (n - 1) / sp.sphere_area) / (n - 1)
         r = np.maximum(seed_small, np.where(np.isfinite(seed_big), seed_big, 0.0))
         r = np.maximum(r, 1e-300)
         target = np.log(sv)
+        live = np.arange(sv.size)  # indices of the points not yet converged
         for _ in range(80):
-            vol = sp.sphere_area * sinh_power_primitive(r, n)
-            area = sp.sphere_area * np.sinh(r) ** (n - 1)
-            step = (np.log(vol) - target) * vol / area
-            r_new = r - step
-            r_new = np.where(r_new <= 0, 0.5 * r, r_new)
-            done = np.abs(vol - sv) <= 1e-13 * sv
-            if np.all(done):
+            r_live = r[live]
+            vol = sp.sphere_area * sinh_power_primitive(r_live, n)
+            done = np.abs(vol - sv[live]) <= 1e-13 * sv[live]
+            live, r_live, vol = live[~done], r_live[~done], vol[~done]
+            if not live.size:
                 break
-            r = np.where(done, r, r_new)
-        rho[pos] = r
+            area = sp.sphere_area * np.sinh(r_live) ** (n - 1)
+            step = (np.log(vol) - target[live]) * vol / area
+            r_new = r_live - step
+            r_new = np.where(r_new <= 0, 0.5 * r_live, r_new)
+            bad = ~np.isfinite(r_new)
+            if np.any(bad):
+                raise DomainError(f"radius_for_volume: non-finite Newton iterate for "
+                                  f"volume {float(sv[live[bad][0]])!r}")
+            r[live] = r_new
+        if live.size:
+            raise DomainError(f"radius_for_volume: volume {float(sv[live[0]])!r} not "
+                              f"within 1e-13 relative after 80 Newton steps")
+    rho[pos] = r
     if np.isscalar(s) or np.asarray(s).ndim == 0:
         return float(rho[0])
     return rho
@@ -205,8 +247,9 @@ def laplacian_volume_coord(v, s, sp: SpaceParams):
     if len(bks) and np.any(np.isin(s_arr, np.asarray(bks))):
         warnings.warn("evaluating Laplacian one-sided at a segment breakpoint",
                       RuntimeWarning, stacklevel=2)
-    a = surface_measure(s_arr, sp)
-    da = surface_measure_slope(s_arr, sp)
+    rho = radius_for_volume(s_arr, sp)
+    a = sphere_area_of_radius(rho, sp)
+    da = (sp.n - 1) / np.tanh(rho)
     d1 = np.asarray(v.derivative(s_arr), dtype=float)
     d2 = np.asarray(v.second_derivative(s_arr), dtype=float)
     out = a * a * d2 + 2.0 * a * da * d1

@@ -9,12 +9,11 @@ declared power-law majorant at B and the last chunk's mass are within
 tolerance. Given arrays of ends it integrates k problems at once, finite
 or semi-infinite, with one integrand call f(s, i) per level for all of
 them; each result is bit-identical to its own scalar call.
-`batched_gauss` is a fixed Gauss-Legendre rule over many intervals, for
-the L^p masses of costly callable segments and the small-radius panel of
-the ball volume. `illinois` is the one bracketed root-finder, a
-safeguarded regula falsi vectorized over many problems; it serves the
-rearrangement. Also: log-spaced grids. The module, like the package, needs
-numpy alone.
+`batched_gauss` is a fixed Gauss-Legendre rule over many intervals; it
+serves only the L^p masses of costly callable segments. `illinois` is the
+one bracketed root-finder, a safeguarded regula falsi vectorized over many
+problems; it serves the rearrangement. Also: log-spaced grids. The
+module, like the package, needs numpy alone.
 """
 
 from __future__ import annotations

@@ -320,9 +320,17 @@ def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
     plateau-to-support log ratios, with a 1/log extrapolation.
 
     For m >= 2 the log ratio is capped (the grid supporting the iterated
-    inverse Laplacian loses accuracy on extremely wide supports).
+    inverse Laplacian loses accuracy on extremely wide supports). An empty
+    sequence, or any entry above the cap, raises DomainError before any
+    work is done.
     """
     params = PoincareParams(n, m, p)
+    log_ratios = tuple(log_ratios)
+    if not log_ratios:
+        raise DomainError("sharpness_sweep needs at least one log ratio")
+    if m >= 2 and max(log_ratios) > LOG_RATIO_CAP_HIGH_ORDER:
+        raise DomainError(f"log ratio {max(log_ratios)} exceeds the cap "
+                          f"{LOG_RATIO_CAP_HIGH_ORDER} for m >= 2")
     if eps is None:
         eps = 0.01 if m == 1 else 0.05
     sp = SpaceParams(n)
@@ -330,9 +338,6 @@ def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
     c = params.constant
     pts = []
     for lr in log_ratios:
-        if m >= 2 and lr > LOG_RATIO_CAP_HIGH_ORDER:
-            raise DomainError(
-                f"log ratio {lr} exceeds the cap {LOG_RATIO_CAP_HIGH_ORDER} for m >= 2")
         ext = extremizers.ExtremizerParams(eps, s0, s0 * math.exp(lr), p, sp)
         q = rayleigh_quotient(params, ext)
         pts.append(SweepPoint(lr, q, q / c))

@@ -1,15 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from hpoincare import geometry
+from hpoincare.extremizers import ExtremizerParams, default_grid
 from hpoincare.geometry import (SpaceParams, ball_volume,
                                 hyperbolic_distance_from_origin,
                                 laplacian_volume_coord,
                                 radial_laplacian_geodesic, radius_for_volume,
-                                sphere_area_of_radius, surface_measure,
-                                surface_measure_slope, unit_ball_volume)
-from hpoincare.numerics import DomainError, integrate
+                                sinh_power_primitive, sphere_area_of_radius,
+                                surface_measure, surface_measure_slope,
+                                unit_ball_volume)
+from hpoincare.numerics import DomainError, batched_gauss, integrate
 from hpoincare.profiles import PowerSegment, RadialProfile
 
 
@@ -63,6 +67,20 @@ class TestBallVolume:
         assert np.all(np.diff(ball_volume(rho, sp)) > 0)
 
 
+class TestSinhPowerPrimitive:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_series_matches_gauss_panel(self, n):
+        # below rho = 1 the power series replaces a 32-point Gauss panel
+        rho = np.geomspace(1e-8, np.nextafter(1.0, 0.0), 400)
+        want = batched_gauss(lambda r: np.sinh(r) ** (n - 1), np.zeros_like(rho), rho, 32)
+        assert np.allclose(sinh_power_primitive(rho, n), want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_branches_meet_at_one(self, n):
+        below, at = sinh_power_primitive(np.array([np.nextafter(1.0, 0.0), 1.0]), n)
+        assert abs(at / below - 1.0) <= 1e-14
+
+
 class TestRadiusForVolume:
     def test_zero(self):
         assert radius_for_volume(0.0, SpaceParams(3)) == 0.0
@@ -72,11 +90,38 @@ class TestRadiusForVolume:
         assert radius_for_volume(s, SpaceParams(2)) == pytest.approx(1.0, rel=1e-12)
 
     def test_round_trip_all_dims(self):
-        for n in range(2, 7):
+        # the Newton stopping test itself: volume within 1e-13 relative
+        s = np.geomspace(1e-200, 1e200, 4001)
+        for n in range(2, 17):
             sp = SpaceParams(n)
-            s = np.geomspace(1e-3, 1e6, 60)
             resid = np.abs(ball_volume(radius_for_volume(s, sp), sp) - s)
-            assert np.all(resid <= np.maximum(1e-10 * s, 1e-14))
+            assert np.all(resid <= 1e-13 * s)
+
+    def test_newton_evaluates_only_unconverged_points(self, monkeypatch):
+        # the n = 3, ln(R/s0) = 10 fine grid of inverse_laplacian; stepping
+        # every point until the last converges passes it 5 times
+        params = ExtremizerParams.create(SpaceParams(3), 2.0, 0.05, 10.0)
+        grid = default_grid(params)
+        s = np.geomspace(grid.s_min, grid.s_max, (grid.points - 1) * 4 + 1)
+        passed = []
+        primitive = geometry.sinh_power_primitive
+
+        def counting(rho, n):
+            passed.append(np.size(rho))
+            return primitive(rho, n)
+
+        monkeypatch.setattr(geometry, "sinh_power_primitive", counting)
+        radius_for_volume(s, params.sp)
+        assert sum(passed) < 4 * s.size
+
+    @pytest.mark.parametrize("s, n", [(5e-324, 2), (5e-324, 3), (5e-324, 8), (5e-324, 16),
+                                      (1.7e308, 8), (1.7e308, 16), (1e-310, 8)])
+    def test_unconverged_volume_raises(self, s, n):
+        # a volume that underflows to 0 in the iteration, one whose expm1
+        # term overflows (n >= 8), and a subnormal one resolved to fewer
+        # digits than the 1e-13 stopping test
+        with pytest.raises(DomainError, match=re.escape(repr(s))):
+            radius_for_volume(np.array([1.0, s, 2.0]), SpaceParams(n))
 
     def test_asymptotic_offset_converges(self):
         sp = SpaceParams(3)

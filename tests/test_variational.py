@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hpoincare import variational
 from hpoincare.extremizers import ExtremizerParams, select_s0
 from hpoincare.geometry import SpaceParams
 from hpoincare.numerics import DomainError, QuadratureError
@@ -322,6 +323,18 @@ class TestSharpness:
     def test_sweep_cap_for_higher_order(self):
         with pytest.raises(DomainError):
             sharpness_sweep(3, 2, 2.0, log_ratios=(80.0,))
+
+    @pytest.mark.parametrize("m, log_ratios", [(1, ()), (2, ()), (2, (10.0, 20.0, 80.0))])
+    def test_sweep_log_ratios_checked_before_any_work(self, monkeypatch, m, log_ratios):
+        # the whole sequence is checked before s0 is chosen or any quotient
+        # computed
+        def work(*args, **kwargs):
+            raise AssertionError("sweep did work before checking its log ratios")
+
+        monkeypatch.setattr(variational.extremizers, "select_s0", work)
+        monkeypatch.setattr(variational, "rayleigh_quotient", work)
+        with pytest.raises(DomainError):
+            sharpness_sweep(3, m, 2.0, log_ratios=log_ratios)
 
     def test_sweep_default_eps(self):
         assert sharpness_sweep(3, 1, 2.0, log_ratios=(10.0,)).eps == 0.01
