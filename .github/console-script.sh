@@ -2,11 +2,18 @@
 # Runs the installed `hpoincare` console script on the README's commands
 # and checks that hardy-demo and an m = 2 sharpness sweep (the inverse
 # Laplacian and the volume inversion under it) print the same bytes twice.
+# verify-inequality runs again with OpenBLAS forced to its oldest x86
+# kernel (Prescott) and must print the same bytes: no quadrature result may
+# depend on the BLAS kernel. On an OpenBLAS built without DYNAMIC_ARCH, or
+# another BLAS, the variable is ignored and this check passes trivially.
 # Usage: sh .github/console-script.sh  (after `python -m pip install -e .`)
 set -eu
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
 hpoincare constant --n 3 --m 2 --p 2
-hpoincare verify-inequality --n 3 --m 1 --p 2 --count 20 --seed 1 --format csv
+hpoincare verify-inequality --n 3 --m 1 --p 2 --count 20 --seed 1 --format csv > "$tmp/verify-1.csv"
+OPENBLAS_CORETYPE=Prescott hpoincare verify-inequality --n 3 --m 1 --p 2 --count 20 --seed 1 \
+    --format csv > "$tmp/verify-2.csv"
+cmp "$tmp/verify-1.csv" "$tmp/verify-2.csv"
 hpoincare sharpness-sweep --n 3 --m 1 --p 2 --log-ratios 25,50,100 --format csv
 hpoincare hardy-demo --count 5 > "$tmp/hardy-1.txt"
 hpoincare hardy-demo --count 5 > "$tmp/hardy-2.txt"

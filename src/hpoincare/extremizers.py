@@ -198,18 +198,14 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> Radi
 
 
 def _cumulative_simpson(y, h):
-    """Cumulative integral with composite Simpson on a uniform grid.
+    """Cumulative integral with composite Simpson on a uniform grid of an
+    odd number of samples (ValueError otherwise).
 
-    Odd intermediate points are filled with the half-panel Simpson rule. On
-    an even number of samples the last interval is closed with the
-    quadratic through the last three samples.
+    Odd intermediate points are filled with the half-panel Simpson rule.
     """
     n = len(y)
     if n % 2 == 0:
-        out = np.empty(n)
-        out[:-1] = _cumulative_simpson(y[:-1], h)
-        out[-1] = out[-2] + h / 12.0 * (-y[-3] + 8.0 * y[-2] + 5.0 * y[-1])
-        return out
+        raise ValueError(f"composite Simpson needs an odd number of samples, got {n}")
     out = np.zeros(n)
     # two-step Simpson increments
     inc2 = h / 3.0 * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2])

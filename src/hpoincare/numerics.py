@@ -8,7 +8,8 @@ integrals have a single tail rule: extend by chunks [B, 8B] until both the
 declared power-law majorant at B and the last chunk's mass are within
 tolerance. Given arrays of ends it integrates k problems at once, finite
 or semi-infinite, with one integrand call f(s, i) per level for all of
-them; each result is bit-identical to its own scalar call.
+them; a per-row K21/G10 contraction, free of BLAS, makes each result
+bit-identical to its own scalar call on any BLAS build.
 `batched_gauss` is a fixed Gauss-Legendre rule over many intervals; it
 serves only the L^p masses of costly callable segments. `illinois` is the
 one bracketed root-finder, a safeguarded regula falsi vectorized over many
@@ -94,11 +95,11 @@ _WG = np.array([
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
 _X21 = np.concatenate([-_XK, _XK[-2::-1]])
-# columns: Kronrod weights, and Gauss weights (zero on the Kronrod-only nodes)
-_W21 = np.zeros((21, 2))
-_W21[:, 0] = np.concatenate([_WK, _WK[-2::-1]])
-_W21[1:10:2, 1] = _WG
-_W21[19:10:-2, 1] = _WG
+# rows: Kronrod weights, and Gauss weights (zero on the Kronrod-only nodes)
+_W21 = np.zeros((2, 21))
+_W21[0] = np.concatenate([_WK, _WK[-2::-1]])
+_W21[1, 1:10:2] = _WG
+_W21[1, 19:10:-2] = _WG
 
 
 def _panels(a, b, breakpoints):
@@ -117,20 +118,11 @@ def _panels(a, b, breakpoints):
     return rows
 
 
-def _rule(fj, prob, batched):
+def _kronrod_gauss(fj):
     """K21 and G10 sums of the rows of fj (one panel each) in a (panels, 2)
-    array. BLAS rounds a row of a matrix product differently with the
-    number of rows, so in the batched form each problem's rows go through a
-    product of their own, in their scalar order: a batched result is then
-    bit-identical to its scalar call."""
-    if not batched:
-        return fj @ _W21
-    order = np.argsort(prob, kind="stable")
-    fj = fj[order]
-    ends = np.cumsum(np.bincount(prob)).tolist()
-    out = np.empty((fj.shape[0], 2))
-    out[order] = np.concatenate([fj[lo:hi] @ _W21 for lo, hi in zip([0] + ends, ends) if lo < hi])
-    return out
+    array. einsum contracts each row on its own; a BLAS product rounds a
+    row differently with the number of rows and with the CPU kernel."""
+    return np.einsum("ij,kj->ik", fj, _W21)
 
 
 def _solve(call, a, b, breakpoints, tail_decay, batched):
@@ -144,6 +136,10 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
     and width refer to the initial panel it came from. The one call of a
     level also takes f at the right end of each tail piece starting there,
     for the majorant. The lowest-numbered problem failing at a level raises.
+
+    A scalar call is the batch of one, and `batched` only prefixes error
+    messages with `problem i:`. `_kronrod_gauss` contracts each panel on its
+    own, so no problem's result depends on the panels of the others.
     """
     k = a.size
     tail = np.isinf(b)
@@ -184,11 +180,11 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
         s = x.copy()
         s[log] = np.exp(x[log])
         pts = s.ravel()
-        owner = np.repeat(prob, 21) if batched else None
+        owner = np.repeat(prob, 21)
         if starting.size:
             probes = right[starting] * np.where(chunks[starting] > 0, 8.0, 1.0)
             pts = np.concatenate([pts, probes])
-            owner = np.concatenate([owner, starting]) if batched else None
+            owner = np.concatenate([owner, starting])
         vals = np.asarray(call(pts, owner), dtype=float)
         if vals.shape != pts.shape:
             raise ValueError(
@@ -207,7 +203,7 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
             val, at = vals[mine][0], float(s[mine][0])
             raise fail(i, f"integrand returned {'NaN' if np.isnan(val) else val} at {at!r}")
         # a panel flagged in log lives in t = ln s and integrates f(e^t) e^t
-        kg = half[:, None] * _rule(vals * np.where(log[:, None], s, 1.0), prob, batched)
+        kg = half[:, None] * _kronrod_gauss(vals * np.where(log[:, None], s, 1.0))
         est, err = kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
         if fresh.size:
             # initial panels come last in the level's panels
@@ -293,8 +289,9 @@ def integrate(f, a, b, breakpoints=(), tail_decay: float | None = None):
     each abscissa, and one call serves the open panels of every problem.
     The breakpoints are shared, each problem using those inside its
     interval; every problem keeps its own panels, tolerance, MAX_SPLITS
-    budget, truncation point and chunks, so each result equals that of its
-    own scalar call. Scalar a and b are the case k = 1, with f(s).
+    budget, truncation point and chunks, and a panel's K21/G10 sums are a
+    per-row contraction, so each result is bit-identical to its own scalar
+    call. Scalar a and b are the case k = 1, with f(s).
 
     Raises QuadratureError when the splits run out or the tail does not
     converge, carrying the best estimate and its error bound; a failure

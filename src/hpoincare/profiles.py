@@ -318,7 +318,9 @@ class RadialProfile:
     def breakpoints(self):
         return tuple(self._bounds)
 
-    def _dispatch(self, s, method):
+    def _dispatch(self, s, per_segment):
+        """per_segment(k, x) at the abscissae x in segment k, for every
+        segment that holds some of s; a float for scalar s."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s_arr = np.atleast_1d(s)
@@ -326,17 +328,17 @@ class RadialProfile:
         out = np.empty_like(s_arr)
         for k in np.unique(idx):
             mask = idx == k
-            out[mask] = getattr(self.segments[k], method)(s_arr[mask])
+            out[mask] = per_segment(k, s_arr[mask])
         return float(out[0]) if scalar else out
 
     def __call__(self, s):
-        return self._dispatch(s, "value")
+        return self._dispatch(s, lambda k, x: self.segments[k].value(x))
 
     def derivative(self, s):
-        return self._dispatch(s, "deriv")
+        return self._dispatch(s, lambda k, x: self.segments[k].deriv(x))
 
     def second_derivative(self, s):
-        return self._dispatch(s, "deriv2")
+        return self._dispatch(s, lambda k, x: self.segments[k].deriv2(x))
 
     def support_end(self):
         """Abscissa beyond which the profile vanishes identically, or None."""
@@ -354,16 +356,8 @@ class RadialProfile:
 
     def running_integral(self, s):
         """Integral of the profile over [0, s], vectorized."""
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s_arr = np.atleast_1d(s)
         cum = self._cumulative()
-        idx = np.searchsorted(self._bounds, s_arr, side="right")
-        out = np.empty_like(s_arr)
-        for k in np.unique(idx):
-            mask = idx == k
-            out[mask] = cum[k] + self.segments[k].primitive_from_lo(s_arr[mask])
-        return float(out[0]) if scalar else out
+        return self._dispatch(s, lambda k, x: cum[k] + self.segments[k].primitive_from_lo(x))
 
     def lp_power(self, p):
         """Integral of |v|^p over [0, inf)."""

@@ -183,31 +183,28 @@ def lp_norm_geodesic(u, sp: SpaceParams, p: float):
     The integrand |u|^p times the sphere area is formed through logarithms,
     exp(p log|m| - p alpha rho + log area), so it survives radii where
     sinh^(n-1) overflows or u underflows. An ExpRadial supplies its
-    mantissa m and alpha; any other callable is its own mantissa.
+    mantissa m and alpha; any other callable is its own mantissa. A single
+    function is the batch of one; a norm in a list is bit-identical to its
+    own call, as the quadrature contracts each panel on its own.
     """
     batched = isinstance(u, (list, tuple))
     terms = [(f.mantissa, f.alpha) if isinstance(f, ExpRadial) else (f, 0.0)
              for f in (u if batched else [u])]
 
-    def density(r, i=None):
-        if i is None:
-            mant, alpha = terms[0]
-            mant, offset = mant(r), -alpha * r
-        else:
-            mant, offset = np.empty_like(r), np.empty_like(r)
-            for j, (fn, alpha) in enumerate(terms):
-                sel = i == j
-                mant[sel], offset[sel] = fn(r[sel]), -alpha * r[sel]
+    def density(r, i):
+        mant, offset = np.empty_like(r), np.empty_like(r)
+        for j, (fn, alpha) in enumerate(terms):
+            sel = i == j
+            mant[sel], offset[sel] = fn(r[sel]), -alpha * r[sel]
         with np.errstate(divide="ignore"):
             log_mag = np.log(np.abs(mant)) + offset
         return np.exp(p * log_mag + log_sphere_area_of_radius(r, sp))
 
-    if not batched:
-        return numerics.integrate(density, 0.0, np.inf, **_GEODESIC_TAIL) ** (1.0 / p)
     masses = numerics.integrate(density, np.zeros(len(terms)), np.inf, **_GEODESIC_TAIL)
-    # the root of each mass as a float: numpy's vectorized power can round
-    # differently from the scalar pow of the single-function call
-    return np.array([m ** (1.0 / p) for m in masses.tolist()])
+    # the root of each mass as a Python float pow, which numpy's vectorized
+    # power can round differently
+    norms = [m ** (1.0 / p) for m in masses.tolist()]
+    return np.array(norms) if batched else norms[0]
 
 
 def grad_norm_geodesic(u: TestFunction, sp: SpaceParams, p: float) -> float:
