@@ -1,7 +1,10 @@
 #!/bin/sh
 # Runs the installed `hpoincare` console script on the README's commands
-# and checks that hardy-demo and an m = 2 sharpness sweep (the inverse
-# Laplacian and the volume inversion under it) print the same bytes twice.
+# and checks that hardy-demo and two m = 2 sharpness sweeps (the inverse
+# Laplacian and the volume inversion under it; p = 1.2 out to
+# ln(R/s0) = 55, where the iterate's descending integral must keep its
+# digits) print the same bytes twice. An m = 1 sweep at n = 11 needs s0
+# beyond 1e9.
 # verify-inequality runs again with OpenBLAS forced to its oldest x86
 # kernel (Prescott) and must print the same bytes: no quadrature result may
 # depend on the BLAS kernel. On an OpenBLAS built without DYNAMIC_ARCH, or
@@ -21,4 +24,10 @@ cmp "$tmp/hardy-1.txt" "$tmp/hardy-2.txt"
 hpoincare sharpness-sweep --n 3 --m 2 --p 3 --log-ratios 10,20,40 --format json > "$tmp/sweep-1.json"
 hpoincare sharpness-sweep --n 3 --m 2 --p 3 --log-ratios 10,20,40 --format json > "$tmp/sweep-2.json"
 cmp "$tmp/sweep-1.json" "$tmp/sweep-2.json"
+hpoincare sharpness-sweep --n 11 --m 1 --p 2
+hpoincare sharpness-sweep --n 3 --m 2 --p 1.2 --log-ratios 10,20,40,55 --format json \
+    > "$tmp/sweep-3.json"
+hpoincare sharpness-sweep --n 3 --m 2 --p 1.2 --log-ratios 10,20,40,55 --format json \
+    > "$tmp/sweep-4.json"
+cmp "$tmp/sweep-3.json" "$tmp/sweep-4.json"
 hpoincare selfcheck

@@ -26,17 +26,27 @@ def area_ratio(s, sp: SpaceParams):
 
 
 def select_s0(sp: SpaceParams, eps: float) -> float:
-    """Least abscissa of a 600-point log grid over [1e-3, 1e9] above which
-    the area ratio stays within 1+eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    grid = np.geomspace(1e-3, 1e9, 600)
-    ratio = area_ratio(grid, sp)
-    suffix_max = np.maximum.accumulate(ratio[::-1])[::-1]
-    ok = suffix_max <= 1.0 + eps
-    if not np.any(ok):
-        raise ValueError("probe grid too short to certify the area-ratio bound")
-    return float(grid[np.argmax(ok)])
+    """Least node of a log grid from 1e-3 above which the area ratio stays
+    within 1+eps.
+
+    The grid first has 600 nodes up to 1e9. Where no suffix of it is within
+    the bound (n >= 11 at eps = 0.01), it keeps its node ratio and doubles
+    its number of steps, reaching 1e21, 1e45 and 1e93; the next doubling
+    would pass 1e150, so ValueError when no suffix of the 1e93 grid is
+    within the bound.
+    """
+    # where 1 + eps rounds to 1, a ratio rounded to 1 far out would pass
+    if not 1.0 + eps > 1.0:
+        raise ValueError("eps must be positive and 1 + eps must exceed 1 in floating point")
+    steps = 599
+    while -3 + 12 * steps / 599 <= 150:
+        grid = np.geomspace(1e-3, 10.0 ** (-3 + 12 * steps / 599), steps + 1)
+        suffix_max = np.maximum.accumulate(area_ratio(grid, sp)[::-1])[::-1]
+        ok = suffix_max <= 1.0 + eps
+        if np.any(ok):
+            return float(grid[np.argmax(ok)])
+        steps *= 2
+    raise ValueError("probe grid too short to certify the area-ratio bound")
 
 
 @dataclass(frozen=True)
@@ -156,8 +166,8 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> Radi
 
     Computes, on a log grid, the descending integral of A(r)^(-2) times the
     running integral of v; both cumulative passes use composite Simpson on
-    a log-uniform grid refined _REFINE times. The result satisfies
-    -(A^2 u')' = v.
+    a log-uniform grid refined _REFINE times, the descending one summed
+    from the top of the grid. The result satisfies -(A^2 u')' = v.
     """
     nodes = numerics.log_grid(grid)
     n_fine = (grid.points - 1) * _REFINE + 1
@@ -177,15 +187,18 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> Radi
     integrand_out = V * s_fine / area ** 2
     # analytic 1/r^2-type tail beyond the grid (integrand decays like e^-t)
     tail = integrand_out[-1]
-    cum_out = _cumulative_simpson(integrand_out, h)
-    Tv = tail + (cum_out[-1] - cum_out)
+    # the descending integral is summed from the top: as the difference of
+    # two ascending sums it would lose as many digits as it is orders of
+    # magnitude below the integral over the whole grid
+    desc = _cumulative_simpson(integrand_out[::-1], h)[::-1]
+    Tv = tail + desc
 
-    # Richardson-style discretization estimate: redo the outer pass at
-    # double spacing and compare the descending integrals on shared nodes
+    # Richardson-style discretization estimate: redo the descending pass at
+    # double spacing and compare on shared nodes
     half_idx = np.arange(0, n_fine, 2)
-    cum_half = _cumulative_simpson(integrand_out[half_idx], 2.0 * h)
+    desc_half = _cumulative_simpson(integrand_out[half_idx][::-1], 2.0 * h)[::-1]
     ref = max(abs(Tv[0]), abs(Tv[n_fine // 2]))
-    disc = float(np.max(np.abs(cum_out[half_idx] - cum_half))) / ref
+    disc = float(np.max(np.abs(desc[half_idx] - desc_half))) / ref
     if disc > 1e-5:
         raise numerics.QuadratureError(
             f"grid too coarse for the inverse Laplacian (estimated error {disc:.2e}); "

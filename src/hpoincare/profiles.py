@@ -6,11 +6,17 @@ monotone piecewise-cubic (PCHIP) interpolation in ln s, and lazily
 evaluated callables (used by the rearrangement machinery). Every segment
 integrates itself through `primitive_from_lo`: in closed form for power sums
 (and for pieces of a decreasing rearrangement), by one batched adaptive
-quadrature over the abscissae otherwise.
+quadrature over the abscissae otherwise. L^p masses come from
+`Segment.lp_mass` where a segment has its own rule, or from the adaptive
+quadrature where it returns None: closed forms for single power terms, and
+for sampled segments a fixed Gauss rule on each cubic piece of the
+interpolant, whose second derivative jumps at every node; the adaptive rule
+would have to bisect around each of those jumps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -200,13 +206,23 @@ class _Pchip:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         i = np.clip(np.searchsorted(self._x, x, side="right") - 1, 0, len(self._x) - 2)
-        u = x - self._x[i]
-        c3, c2, c1, c0 = self._c[:, i]
+        return self._cubic(x - self._x[i], self._c[:, i])
+
+    @staticmethod
+    def _cubic(u, c):
+        c3, c2, c1, c0 = c
         return c0 + c1 * u + c2 * (u * u) + c3 * (u * u * u)
+
+    def on_pieces(self, u):
+        """Values at the offsets u[i] from the left node of every interval
+        i (one row of u per interval), with no search for the interval."""
+        return self._cubic(u, self._c[:, :, None])
 
 
 class SampledSegment(Segment):
-    """Log-grid samples with monotone piecewise-cubic interpolation."""
+    """Log-grid samples with monotone piecewise-cubic interpolation in
+    t = ln s. The interpolants of the first and second log-derivatives are
+    built on the first call of deriv or deriv2."""
 
     def __init__(self, nodes, values):
         nodes = np.asarray(nodes, dtype=float)
@@ -217,13 +233,15 @@ class SampledSegment(Segment):
         self.nodes = nodes
         self.values = values
         self._t = np.log(nodes)
-        h = self._t[1] - self._t[0]
-        if not np.allclose(np.diff(self._t), h, rtol=1e-8):
+        self._h = self._t[1] - self._t[0]
+        if not np.allclose(np.diff(self._t), self._h, rtol=1e-8):
             raise ValueError("sampled nodes must be log-uniform")
         self._interp = _Pchip(self._t, values)
-        w1, w2 = _fd_log_derivatives(values, h)
-        self._w1 = _Pchip(self._t, w1)
-        self._w2 = _Pchip(self._t, w2)
+
+    @functools.cached_property
+    def _log_derivs(self):
+        w1, w2 = _fd_log_derivatives(self.values, self._h)
+        return _Pchip(self._t, w1), _Pchip(self._t, w2)
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
@@ -231,12 +249,34 @@ class SampledSegment(Segment):
 
     def deriv(self, s):
         s = np.asarray(s, dtype=float)
-        return self._w1(np.log(s)) / s
+        return self._log_derivs[0](np.log(s)) / s
 
     def deriv2(self, s):
         s = np.asarray(s, dtype=float)
         t = np.log(s)
-        return (self._w2(t) - self._w1(t)) / s ** 2
+        w1, w2 = self._log_derivs
+        return (w2(t) - w1(t)) / s ** 2
+
+    def lp_mass(self, p, tail_bound=None):
+        """Integral of |v|^p ds = |v|^p e^t dt over the segment, interval by
+        interval: each cubic piece of the interpolant at the 4-point
+        Gauss-Legendre nodes, with the 3-point sum as the error estimate.
+        None defers to the adaptive quadrature where the data change sign
+        (|v|^p then has a kink inside a piece) or the two sums differ by
+        more than numerics.REL_TOL relative."""
+        if not (np.all(self.values > 0) or np.all(self.values < 0)):
+            return None
+        h = np.diff(self._t)[:, None]
+        sums = []
+        for order in (4, 3):
+            x, w = numerics._gauss(order)
+            u = 0.5 * h * (x + 1.0)
+            f = np.abs(self._interp.on_pieces(u)) ** p * np.exp(u) * self.nodes[:-1, None]
+            sums.append(float(np.sum(f * (0.5 * h * w))))
+        g4, g3 = sums
+        if abs(g4 - g3) > numerics.REL_TOL * abs(g4):
+            return None
+        return g4
 
 
 class FuncSegment(Segment):
@@ -326,7 +366,8 @@ class RadialProfile:
         s_arr = np.atleast_1d(s)
         idx = np.searchsorted(self._bounds, s_arr, side="right")
         out = np.empty_like(s_arr)
-        for k in np.unique(idx):
+        # the segments that hold some of s, in order, without sorting s
+        for k in np.flatnonzero(np.bincount(idx.ravel(), minlength=len(self.segments))):
             mask = idx == k
             out[mask] = per_segment(k, s_arr[mask])
         return float(out[0]) if scalar else out

@@ -38,6 +38,28 @@ class TestSelectS0:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             select_s0(SP3, 0.0)
+        # the area ratio of n = 2 rounds to 1 at s = 1e21
+        with pytest.raises(ValueError, match="1 \\+ eps"):
+            select_s0(SpaceParams(2), 1e-90)
+
+    @pytest.mark.parametrize("n", [11, 16])
+    def test_large_n_extends_the_grid(self, n):
+        # no node up to 1e9 certifies eps = 0.01 for n >= 11: the grid goes on
+        # at the same node ratio
+        sp = SpaceParams(n)
+        s0 = select_s0(sp, 0.01)
+        assert s0 > 1e9
+        probe = np.geomspace(s0, s0 * 1e12, 100)
+        assert np.all(area_ratio(probe, sp) <= 1.01)
+        ratio = (1e12) ** (1 / 599)
+        k = math.log(s0 / 1e-3) / math.log(ratio)
+        assert abs(k - round(k)) < 1e-6
+        assert area_ratio(s0 / ratio, sp) > 1.01
+
+    def test_grid_ends_before_1e150(self):
+        # the area ratio of n = 16 is still 1 + 1.6e-13 at s = 1e93
+        with pytest.raises(ValueError, match="probe grid too short"):
+            select_s0(SpaceParams(16), 1e-13)
 
 
 class TestExtremizerProfile:
@@ -146,6 +168,28 @@ class TestInverseLaplacian:
         truth = f(nodes[mask])
         scale = np.maximum(truth, np.max(truth) * 1e-6)
         assert np.max(np.abs(lap - truth) / scale) <= 1e-4
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+    def test_matches_quadrature_at_wide_support(self, p):
+        # u(s) = integral over [s, inf) of V(r) / A(r)^2, with V the running
+        # integral r * (running average) of the extremizer. The reference
+        # integrand is divided by its value at s, so that no absolute floor
+        # of the quadrature cuts it short where it is tiny
+        params = make_params(55.0, eps=0.05, p=p)
+        it = inverse_laplacian_iterates(params, 1)[0]
+        nodes, values = it.fine_nodes, it.fine_values
+        idx = np.unique(np.searchsorted(
+            nodes, np.geomspace(params.s0, 20.0 * params.R, 20)).clip(0, len(nodes) - 1))
+        s = nodes[idx]
+
+        def g(r):
+            return r * averaged_extremizer(params, r) / surface_measure(r, SP3) ** 2
+
+        gs = g(s)
+        want = gs * integrate(lambda r, i: g(r) / gs[i], s, np.inf,
+                              breakpoints=(params.s0, params.R, 2.0 * params.R),
+                              tail_decay=2.0)
+        assert values[idx] == pytest.approx(want, rel=1e-6, abs=0.0)
 
     def test_coarse_grid_rejected(self):
         params = make_params(10.0, eps=0.05)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hpoincare.extremizers import ExtremizerParams, inverse_laplacian_iterates
+from hpoincare.geometry import SpaceParams
 from hpoincare.numerics import QuadratureError, integrate
 from hpoincare.profiles import (FuncSegment, PowerSegment, RadialProfile,
-                                SampledSegment, _Pchip, constant_profile,
-                                indicator_profile, sampled_profile, zero_tail)
+                                SampledSegment, _fd_log_derivatives, _Pchip,
+                                constant_profile, indicator_profile,
+                                sampled_profile, zero_tail)
 
 
 class TestSegments:
@@ -50,6 +53,51 @@ class TestSegments:
         assert np.allclose(seg.deriv(s), 2 * s, rtol=1e-6)
         assert np.allclose(seg.deriv2(s), 2.0, rtol=1e-4)
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("p", [1.2, 2.0, 6.0])
+    def test_sampled_lp_mass_matches_per_interval_g8(self, n, p):
+        # the 4-point rule on each cubic piece of an inverse-Laplacian
+        # iterate, against the 8-point rule on the same pieces
+        params = ExtremizerParams.create(SpaceParams(n), p, 0.05, 40.0)
+        seg = inverse_laplacian_iterates(params, 1)[0].segments[1]
+        x, w = np.polynomial.legendre.leggauss(8)
+        h = np.diff(seg._t)[:, None]
+        u = h * 0.5 * (x + 1.0)
+        c3, c2, c1, c0 = (c[:, None] for c in seg._interp._c)
+        v = c0 + c1 * u + c2 * u * u + c3 * u * u * u
+        want = float(np.sum(np.abs(v) ** p * np.exp(seg._t[:-1, None] + u) * 0.5 * h * w))
+        got = seg.lp_mass(p)
+        assert got is not None
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_sampled_lp_mass_defers_on_sign_change(self):
+        # |v|^p has a kink where the data change sign: lp_mass defers, and
+        # lp_power takes the adaptive path for that segment
+        nodes = np.geomspace(0.1, 100.0, 200)
+        prof = sampled_profile(nodes, np.cos(np.log(nodes)))
+        head, mid, tail = prof.segments
+        p = 1.5
+        assert mid.lp_mass(p) is None
+        want = (head.lp_mass(p) + tail.lp_mass(p)
+                + prof.segment_integral(mid, lambda s: np.abs(mid.value(s)) ** p, p))
+        assert prof.lp_power(p) == want
+
+    def test_sampled_derivatives_built_lazily(self):
+        nodes = np.geomspace(0.1, 100.0, 400)
+        values = 1.0 / (1.0 + nodes)
+        seg = SampledSegment(nodes, values)
+        assert "_log_derivs" not in vars(seg)
+        # the interpolants an eager constructor would build
+        t = np.log(nodes)
+        w1, w2 = (_Pchip(t, w) for w in _fd_log_derivatives(values, t[1] - t[0]))
+        s = np.geomspace(0.15, 90.0, 37)
+        ts = np.log(s)
+        assert np.array_equal(seg.deriv(s), w1(ts) / s)
+        assert np.array_equal(seg.deriv2(s), (w2(ts) - w1(ts)) / s ** 2)
+        built = vars(seg)["_log_derivs"]
+        seg.deriv2(s)
+        assert vars(seg)["_log_derivs"] is built
+
     def test_segment_interval_validation(self):
         with pytest.raises(ValueError):
             PowerSegment(2.0, 1.0, ())
@@ -68,6 +116,19 @@ class TestRadialProfile:
         prof = indicator_profile(1.0, 2.0, height=3.0)
         s = np.array([0.5, 1.5, 2.5])
         assert np.allclose(prof(s), [0.0, 3.0, 0.0])
+
+    def test_dispatch_unsorted_and_scalar(self):
+        prof = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]),
+                              PowerSegment(1, 4, [(1.0, -0.5)]),
+                              PowerSegment(4, 9, [(2.0, 1.0)]),
+                              zero_tail(9.0)])
+        s = np.array([5.0, 0.3, 10.0, 2.0, 0.7, 4.0, 8.0, 1.0, 3.0])
+        got = prof(s)
+        assert np.array_equal(got, [prof(float(x)) for x in s])
+        assert np.array_equal(got, [10.0, 1.0, 0.0, 2.0 ** -0.5, 1.0, 8.0, 16.0, 1.0,
+                                    3.0 ** -0.5])
+        assert np.array_equal(prof(s.reshape(3, 3)), got.reshape(3, 3))
+        assert isinstance(prof(2.0), float) and prof(2.0) == 2.0 ** -0.5
 
     def test_running_integral_indicator(self):
         prof = indicator_profile(1.0, 2.0, height=3.0)

@@ -300,8 +300,9 @@ class TestSharpness:
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_widest_m2_sweep_within_split_budget(self, n):
-        # the L^p mass of the sampled iterate at ln(R/s0) = 58 needs some
-        # 2,500 panel splits, close to the budget numerics.MAX_SPLITS of 4000
+        # the L^p mass of the sampled iterate at ln(R/s0) = 58 takes the
+        # per-interval Gauss rule; its adaptive fallback needs some 2,500
+        # panel splits, close to the budget numerics.MAX_SPLITS of 4000
         res = sharpness_sweep(n, 2, 2.0, log_ratios=(58.0,))
         assert 0.0 < res.points[0].quotient < res.constant
 
@@ -312,6 +313,26 @@ class TestSharpness:
         # norm of the base profile
         res = sharpness_sweep(n, 3, p, log_ratios=(10.0, 20.0, 40.0))
         qs = [pt.quotient for pt in res.points]
+        assert 0.0 < qs[0] < qs[1] < qs[2] < res.constant
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("p", [1.2, 1.5])
+    def test_sweep_rises_for_p_below_2(self, n, m, p):
+        # |u|^p s of an iterate is nearly flat in ln s for p < 2, so mass far
+        # above R counts; there the inverse Laplacian's descending integral
+        # must keep its digits
+        res = sharpness_sweep(n, m, p, log_ratios=(10.0, 20.0, 40.0, 55.0))
+        qs = [pt.quotient for pt in res.points]
+        assert 0.0 < qs[0] < qs[1] < qs[2] < qs[3] < res.constant
+
+    @pytest.mark.parametrize("n", [11, 16])
+    @pytest.mark.parametrize("p", [1.2, 2.0, 6.0])
+    def test_sweep_m1_large_n(self, n, p):
+        # s0 past the first probe grid's 1e9
+        res = sharpness_sweep(n, 1, p)
+        qs = [pt.quotient for pt in res.points]
+        assert res.s0 > 1e9
         assert 0.0 < qs[0] < qs[1] < qs[2] < res.constant
 
     def test_sweep_s0_chosen_once(self):
