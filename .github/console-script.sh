@@ -3,8 +3,9 @@
 # and checks that hardy-demo and two m = 2 sharpness sweeps (the inverse
 # Laplacian and the volume inversion under it; p = 1.2 out to
 # ln(R/s0) = 55, where the iterate's descending integral must keep its
-# digits) print the same bytes twice. An m = 1 sweep at n = 11 needs s0
-# beyond 1e9.
+# digits) print the same bytes twice, and so does an m = 4 sweep, whose
+# second iterate reads the first through its lazily built interpolant. An
+# m = 1 sweep at n = 11 needs s0 beyond 1e9.
 # verify-inequality runs again with OpenBLAS forced to its oldest x86
 # kernel (Prescott) and must print the same bytes: no quadrature result may
 # depend on the BLAS kernel. On an OpenBLAS built without DYNAMIC_ARCH, or
@@ -30,4 +31,9 @@ hpoincare sharpness-sweep --n 3 --m 2 --p 1.2 --log-ratios 10,20,40,55 --format 
 hpoincare sharpness-sweep --n 3 --m 2 --p 1.2 --log-ratios 10,20,40,55 --format json \
     > "$tmp/sweep-4.json"
 cmp "$tmp/sweep-3.json" "$tmp/sweep-4.json"
+hpoincare sharpness-sweep --n 3 --m 4 --p 1.5 --log-ratios 10,20,40 --format json \
+    > "$tmp/sweep-5.json"
+hpoincare sharpness-sweep --n 3 --m 4 --p 1.5 --log-ratios 10,20,40 --format json \
+    > "$tmp/sweep-6.json"
+cmp "$tmp/sweep-5.json" "$tmp/sweep-6.json"
 hpoincare selfcheck

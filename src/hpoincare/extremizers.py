@@ -16,7 +16,8 @@ import numpy as np
 from . import numerics, rearrangement
 from .geometry import SpaceParams, surface_measure
 from .numerics import GridSpec
-from .profiles import FuncSegment, PowerSegment, RadialProfile, sampled_profile, zero_tail
+from .profiles import (FuncSegment, PowerSegment, RadialProfile, SampledSegment,
+                       sampled_profile, zero_tail)
 
 
 def area_ratio(s, sp: SpaceParams):
@@ -156,8 +157,8 @@ def inverse_area_tail_slope(s, p: float, sp: SpaceParams):
 
 
 # fine-grid steps per step of the GridSpec in the inverse Laplacian: a
-# multiple of 4, so that the fine grid and its every-other-node subgrid of
-# the Richardson check both have the odd node count composite Simpson wants
+# multiple of 4, so that the fine grid and its every-other-node subgrid (of
+# the Richardson check and the L^p mass check) have the odd node count of Simpson
 _REFINE = 4
 
 
@@ -166,10 +167,11 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> Radi
 
     Computes, on a log grid, the descending integral of A(r)^(-2) times the
     running integral of v; both cumulative passes use composite Simpson on
-    a log-uniform grid refined _REFINE times, the descending one summed
-    from the top of the grid. The result satisfies -(A^2 u')' = v.
+    the log-uniform grid refined _REFINE times, the descending one summed
+    from the top of the grid. The result, which satisfies -(A^2 u')' = v, is
+    the sampled profile of every node of the refined grid; QuadratureError
+    where a pass overflows or the Richardson estimate exceeds 1e-5.
     """
-    nodes = numerics.log_grid(grid)
     n_fine = (grid.points - 1) * _REFINE + 1
     t_fine = np.linspace(math.log(grid.s_min), math.log(grid.s_max), n_fine)
     s_fine = np.exp(t_fine)
@@ -178,57 +180,38 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> Radi
     if np.any(np.isnan(vals)):
         raise numerics.QuadratureError("profile returned NaN on the grid")
 
-    # inner pass: running integral V(r) of v, head treated as flat below the grid
-    integrand_in = vals * s_fine
-    V = _cumulative_simpson(integrand_in, h)
-    V += vals[0] * s_fine[0]
+    # a non-finite result is raised below, so numpy's warnings in the
+    # passes would only repeat it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # inner pass: running integral V(r) of v, head treated as flat below the grid
+        integrand_in = vals * s_fine
+        V = numerics.cumulative_simpson(integrand_in, h)
+        V += vals[0] * s_fine[0]
 
-    area = surface_measure(s_fine, sp)
-    integrand_out = V * s_fine / area ** 2
-    # analytic 1/r^2-type tail beyond the grid (integrand decays like e^-t)
-    tail = integrand_out[-1]
-    # the descending integral is summed from the top: as the difference of
-    # two ascending sums it would lose as many digits as it is orders of
-    # magnitude below the integral over the whole grid
-    desc = _cumulative_simpson(integrand_out[::-1], h)[::-1]
-    Tv = tail + desc
+        area = surface_measure(s_fine, sp)
+        integrand_out = V * s_fine / area ** 2
+        # analytic 1/r^2-type tail beyond the grid (integrand decays like e^-t)
+        tail = integrand_out[-1]
+        # the descending integral is summed from the top: as the difference of
+        # two ascending sums it would lose as many digits as it is orders of
+        # magnitude below the integral over the whole grid
+        desc = numerics.cumulative_simpson(integrand_out[::-1], h)[::-1]
+        Tv = tail + desc
 
-    # Richardson-style discretization estimate: redo the descending pass at
-    # double spacing and compare on shared nodes
-    half_idx = np.arange(0, n_fine, 2)
-    desc_half = _cumulative_simpson(integrand_out[half_idx][::-1], 2.0 * h)[::-1]
-    ref = max(abs(Tv[0]), abs(Tv[n_fine // 2]))
-    disc = float(np.max(np.abs(desc[half_idx] - desc_half))) / ref
-    if disc > 1e-5:
+        # Richardson-style discretization estimate: redo the descending pass at
+        # double spacing and compare on shared nodes
+        half_idx = np.arange(0, n_fine, 2)
+        desc_half = numerics.cumulative_simpson(integrand_out[half_idx][::-1], 2.0 * h)[::-1]
+        ref = max(abs(Tv[0]), abs(Tv[n_fine // 2]))
+        disc = float(np.max(np.abs(desc[half_idx] - desc_half)))
+        disc = disc / ref if disc else 0.0  # the inverse of v = 0 is exactly 0
+    if not np.all(np.isfinite(Tv)):
+        raise numerics.QuadratureError("the inverse Laplacian overflowed on the grid")
+    if not disc <= 1e-5:
         raise numerics.QuadratureError(
             f"grid too coarse for the inverse Laplacian (estimated error {disc:.2e}); "
             f"increase GridSpec.points")
-
-    prof = sampled_profile(nodes, Tv[::_REFINE], nonincreasing=True)
-    prof.fine_nodes = s_fine
-    prof.fine_values = Tv
-    return prof
-
-
-def _cumulative_simpson(y, h):
-    """Cumulative integral with composite Simpson on a uniform grid of an
-    odd number of samples (ValueError otherwise).
-
-    Odd intermediate points are filled with the half-panel Simpson rule.
-    """
-    n = len(y)
-    if n % 2 == 0:
-        raise ValueError(f"composite Simpson needs an odd number of samples, got {n}")
-    out = np.zeros(n)
-    # two-step Simpson increments
-    inc2 = h / 3.0 * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    even = np.zeros(len(inc2) + 1)
-    even[1:] = np.cumsum(inc2)
-    out[::2] = even
-    # half-panel values via local quadratic interpolation
-    left = h / 12.0 * (5.0 * y[:-2:2] + 8.0 * y[1:-1:2] - y[2::2])
-    out[1::2] = out[:-2:2] + left
-    return out
+    return sampled_profile(s_fine, Tv, nonincreasing=True)
 
 
 def inverse_laplacian_iterates(params: ExtremizerParams, k: int) -> list[RadialProfile]:
@@ -267,17 +250,18 @@ def sandwich_decomposition(params: ExtremizerParams, iterate: RadialProfile,
     p, eps = params.p, params.eps
     n = params.sp.n
     c = (p * params.p_conj / (n - 1.0) ** 2) ** index
-    if not hasattr(iterate, "fine_nodes"):
+    segs = iterate.segments
+    if len(segs) != 3 or not isinstance(segs[1], SampledSegment):
         raise ValueError("sandwich_decomposition needs an iterate from inverse_laplacian, "
-                         "which carries its fine-grid nodes and values")
-    nodes, values = iterate.fine_nodes, iterate.fine_values
+                         "whose middle segment holds its fine-grid nodes and values")
+    nodes, values = segs[1].nodes, segs[1].values
     f = extremizer_profile(params)(nodes)
     upper = c * f
     lower = (1.0 + eps) ** (-2.0 * index) * c * f
     clamped = np.clip(values, lower, upper)
     w = values - clamped
     h = math.log(nodes[1] / nodes[0])
-    w_norm_p = _cumulative_simpson(np.abs(w) ** p * nodes, h)[-1] ** (1.0 / p)
+    w_norm_p = numerics.cumulative_simpson(np.abs(w) ** p * nodes, h)[-1] ** (1.0 / p)
     untouched = np.isclose(w, 0.0, atol=0.0)
     in_window = (nodes >= 10.0 * params.s0) & (nodes <= params.R / 10.0)
     frac_all = float(np.mean(untouched))

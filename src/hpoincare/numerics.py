@@ -11,10 +11,12 @@ or semi-infinite, with one integrand call f(s, i) per level for all of
 them; a per-row K21/G10 contraction, free of BLAS, makes each result
 bit-identical to its own scalar call on any BLAS build.
 `batched_gauss` is a fixed Gauss-Legendre rule over many intervals; it
-serves only the L^p masses of costly callable segments. `illinois` is the
-one bracketed root-finder, a safeguarded regula falsi vectorized over many
-problems; it serves the rearrangement. Also: log-spaced grids. The
-module, like the package, needs numpy alone.
+serves only the L^p masses of costly callable segments.
+`cumulative_simpson` is composite Simpson on uniformly spaced samples; it
+serves the inverse Laplacian and the L^p masses of sampled segments.
+`illinois` is the one bracketed root-finder, a safeguarded regula falsi
+vectorized over many problems; it serves the rearrangement. The module,
+like the package, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -57,11 +59,6 @@ class GridSpec:
             raise ValueError("s_max must exceed s_min")
         if self.points < 2:
             raise ValueError("need at least two grid points")
-
-
-def log_grid(spec: GridSpec) -> np.ndarray:
-    """Log-uniform nodes covering [s_min, s_max] (constant node ratio)."""
-    return np.geomspace(spec.s_min, spec.s_max, spec.points)
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -335,6 +332,27 @@ def batched_gauss(fn, a, b, order: int = 16) -> np.ndarray:
     pts = mid[:, None] + half[:, None] * x[None, :]
     vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
     return half * (vals * w[None, :]).sum(axis=1)
+
+
+def cumulative_simpson(y, h):
+    """Cumulative integral with composite Simpson on a uniform grid of an
+    odd number of samples (ValueError otherwise).
+
+    Odd intermediate points are filled with the half-panel Simpson rule.
+    """
+    n = len(y)
+    if n % 2 == 0:
+        raise ValueError(f"composite Simpson needs an odd number of samples, got {n}")
+    out = np.zeros(n)
+    # two-step Simpson increments
+    inc2 = h / 3.0 * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    even = np.zeros(len(inc2) + 1)
+    even[1:] = np.cumsum(inc2)
+    out[::2] = even
+    # half-panel values via local quadratic interpolation
+    left = h / 12.0 * (5.0 * y[:-2:2] + 8.0 * y[1:-1:2] - y[2::2])
+    out[1::2] = out[:-2:2] + left
+    return out
 
 
 # a bisection at least every fourth step takes an ln-bracket of width 80

@@ -172,8 +172,8 @@ def test_criterion_6_t_inversion():
     worst = float(np.max(np.abs(lap - truth)
                          / np.maximum(truth, np.max(truth) * 1e-6)))
     _report(6, worst <= 1e-4,
-            f"-(A^2 u')' vs source on {int(mask.sum())} interior nodes of a "
-            f"4096-point grid: worst rel err {worst:.2e} (tol 1e-4)")
+            f"-(A^2 u')' vs source on {int(mask.sum())} interior nodes of the "
+            f"{len(nodes)}-node fine grid: worst rel err {worst:.2e} (tol 1e-4)")
 
 
 def test_criterion_7_inequality_property_suite():

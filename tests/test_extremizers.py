@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hpoincare.extremizers import (ExtremizerParams, _cumulative_simpson,
-                                   area_ratio, averaged_extremizer,
+from hpoincare.extremizers import (ExtremizerParams, area_ratio,
+                                   averaged_extremizer,
                                    averaged_extremizer_profile, default_grid,
                                    extremizer_lp_mass, extremizer_profile,
                                    inverse_area_tail, inverse_area_tail_slope,
@@ -13,9 +13,10 @@ from hpoincare.extremizers import (ExtremizerParams, _cumulative_simpson,
                                    sandwich_decomposition,
                                    second_order_majorant, select_s0)
 from hpoincare.geometry import SpaceParams, laplacian_volume_coord, surface_measure
-from hpoincare.numerics import GridSpec, integrate
-from hpoincare.profiles import indicator_profile
+from hpoincare.numerics import GridSpec, QuadratureError, cumulative_simpson, integrate
+from hpoincare.profiles import constant_profile, indicator_profile
 from hpoincare.rearrangement import maximal_function
+from hpoincare.variational import lp_norm_volume
 
 SP3 = SpaceParams(3)
 
@@ -177,7 +178,7 @@ class TestInverseLaplacian:
         # of the quadrature cuts it short where it is tiny
         params = make_params(55.0, eps=0.05, p=p)
         it = inverse_laplacian_iterates(params, 1)[0]
-        nodes, values = it.fine_nodes, it.fine_values
+        nodes, values = it.segments[1].nodes, it.segments[1].values
         idx = np.unique(np.searchsorted(
             nodes, np.geomspace(params.s0, 20.0 * params.R, 20)).clip(0, len(nodes) - 1))
         s = nodes[idx]
@@ -198,10 +199,36 @@ class TestInverseLaplacian:
             inverse_laplacian(f, SP3, GridSpec(params.s0 * 1e-6,
                                                2 * params.R * 1e3, 40))
 
+    def test_overflow_raises(self):
+        # the passes overflow to inf; a NaN Richardson estimate must not pass
+        # the accuracy guard
+        params = ExtremizerParams.create(SP3, 2.0, 0.05, 10.0)
+        with pytest.raises(QuadratureError, match="overflowed"):
+            inverse_laplacian(indicator_profile(0.0, params.R, 1e300), SP3,
+                              default_grid(params))
+
+    def test_zero_source(self):
+        params = ExtremizerParams.create(SP3, 2.0, 0.05, 10.0)
+        it = inverse_laplacian(constant_profile(0.0), SP3, default_grid(params))
+        assert not np.any(it.segments[1].values)
+
     def test_iterates_count_and_chain(self):
         params = make_params(8.0, eps=0.05)
         its = inverse_laplacian_iterates(params, 2)
         assert len(its) == 2
+
+    def test_iterate_holds_every_fine_node(self):
+        params = make_params(8.0, eps=0.05)
+        grid = default_grid(params)
+        seg = inverse_laplacian_iterates(params, 1)[0].segments[1]
+        assert len(seg.nodes) == len(seg.values) == (grid.points - 1) * 4 + 1
+
+    def test_lp_norm_builds_no_interpolant(self):
+        # the mass of an m = 2 iterate comes from its samples alone
+        params = make_params(20.0, eps=0.05)
+        it = inverse_laplacian_iterates(params, 1)[0]
+        assert lp_norm_volume(it, 2.0) > 0.0
+        assert "_interp" not in vars(it.segments[1])
 
     def test_nonnegative_decreasing(self):
         params = make_params(8.0, eps=0.05)
@@ -268,8 +295,8 @@ def test_cumulative_simpson_exact_for_quadratics(n):
     if n % 2 == 0:
         # every grid the package integrates on has an odd node count
         with pytest.raises(ValueError, match="odd number of samples"):
-            _cumulative_simpson(s, h)
+            cumulative_simpson(s, h)
         return
     for k in range(3):
-        got = _cumulative_simpson(s ** k, h)
+        got = cumulative_simpson(s ** k, h)
         assert np.allclose(got, s ** (k + 1) / (k + 1), rtol=0.0, atol=1e-14)

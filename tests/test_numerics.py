@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hpoincare.numerics import (GridSpec, QuadratureError, batched_gauss, illinois,
-                                integrate, log_grid)
+                                integrate)
 
 
 class TestIntegrate:
@@ -166,12 +166,6 @@ def test_illinois_vectorized():
 
 
 class TestGrids:
-    def test_log_grid_ratio_constant(self):
-        g = log_grid(GridSpec(1e-3, 1e6, 100))
-        ratios = g[1:] / g[:-1]
-        assert np.allclose(ratios, ratios[0], rtol=1e-12)
-        assert g[0] == pytest.approx(1e-3) and g[-1] == pytest.approx(1e6)
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0)

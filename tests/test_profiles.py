@@ -12,6 +12,16 @@ from hpoincare.profiles import (FuncSegment, PowerSegment, RadialProfile,
                                 sampled_profile, zero_tail)
 
 
+def _assert_middle_deferred(prof, p):
+    """The middle segment of a sampled profile defers its L^p mass, and
+    lp_power takes the adaptive path for it."""
+    head, mid, tail = prof.segments
+    assert mid.lp_mass(p) is None
+    want = (head.lp_mass(p) + tail.lp_mass(p)
+            + prof.segment_integral(mid, lambda s: np.abs(mid.value(s)) ** p, p))
+    assert prof.lp_power(p) == want
+
+
 class TestSegments:
     def test_power_derivatives(self):
         seg = PowerSegment(1, 10, [(3.0, 2.0)])
@@ -56,31 +66,49 @@ class TestSegments:
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("p", [1.2, 2.0, 6.0])
     def test_sampled_lp_mass_matches_per_interval_g8(self, n, p):
-        # the 4-point rule on each cubic piece of an inverse-Laplacian
-        # iterate, against the 8-point rule on the same pieces
+        # composite Simpson on the samples of the first and second
+        # inverse-Laplacian iterates, against the 8-point Gauss rule on each
+        # cubic piece of the same segments' interpolants
         params = ExtremizerParams.create(SpaceParams(n), p, 0.05, 40.0)
-        seg = inverse_laplacian_iterates(params, 1)[0].segments[1]
         x, w = np.polynomial.legendre.leggauss(8)
-        h = np.diff(seg._t)[:, None]
-        u = h * 0.5 * (x + 1.0)
-        c3, c2, c1, c0 = (c[:, None] for c in seg._interp._c)
-        v = c0 + c1 * u + c2 * u * u + c3 * u * u * u
-        want = float(np.sum(np.abs(v) ** p * np.exp(seg._t[:-1, None] + u) * 0.5 * h * w))
-        got = seg.lp_mass(p)
-        assert got is not None
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        for it in inverse_laplacian_iterates(params, 2):
+            seg = it.segments[1]
+            h = np.diff(seg._t)[:, None]
+            u = h * 0.5 * (x + 1.0)
+            v = seg._interp(seg._t[:-1, None] + u)
+            want = float(np.sum(np.abs(v) ** p * np.exp(seg._t[:-1, None] + u) * 0.5 * h * w))
+            got = seg.lp_mass(p)
+            assert got is not None
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
     def test_sampled_lp_mass_defers_on_sign_change(self):
         # |v|^p has a kink where the data change sign: lp_mass defers, and
-        # lp_power takes the adaptive path for that segment
+        # lp_power takes the adaptive path for that segment. 201 nodes suit
+        # Simpson and its half-grid check, so only the sign defers
+        nodes = np.geomspace(0.1, 100.0, 201)
+        _assert_middle_deferred(sampled_profile(nodes, np.cos(np.log(nodes))), 1.5)
+
+    def test_sampled_lp_mass_defers_on_node_count(self):
+        # 200 nodes: no odd count for Simpson, so the adaptive path
         nodes = np.geomspace(0.1, 100.0, 200)
-        prof = sampled_profile(nodes, np.cos(np.log(nodes)))
-        head, mid, tail = prof.segments
-        p = 1.5
-        assert mid.lp_mass(p) is None
-        want = (head.lp_mass(p) + tail.lp_mass(p)
-                + prof.segment_integral(mid, lambda s: np.abs(mid.value(s)) ** p, p))
-        assert prof.lp_power(p) == want
+        _assert_middle_deferred(sampled_profile(nodes, 1.0 / (1.0 + nodes)), 1.5)
+
+    def test_sampled_lp_mass_defers_on_infinite_sample(self):
+        # the Simpson check fails on a non-finite sum, and the adaptive path
+        # raises on the non-finite integrand instead of returning it
+        nodes = np.geomspace(0.1, 100.0, 201)
+        values = 1.0 / (1.0 + nodes)
+        values[100] = np.inf
+        prof = sampled_profile(nodes, values)
+        assert prof.segments[1].lp_mass(2.0) is None
+        with pytest.raises(QuadratureError):
+            prof.lp_power(2.0)
+
+    @pytest.mark.parametrize("count", [1, 399, 401])
+    def test_sampled_values_one_per_node(self, count):
+        # a single value would broadcast silently through lp_mass
+        with pytest.raises(ValueError, match="one value per node"):
+            SampledSegment(np.geomspace(0.1, 100.0, 400), np.ones(count))
 
     def test_sampled_derivatives_built_lazily(self):
         nodes = np.geomspace(0.1, 100.0, 400)
