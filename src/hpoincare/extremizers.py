@@ -86,7 +86,7 @@ def extremizer_profile(params: ExtremizerParams) -> RadialProfile:
                                 (-R ** (-1.0 - 1.0 / p), 1.0)]),
         zero_tail(2 * R),
     ]
-    return RadialProfile(segs, nonincreasing=True, tail_bound=np.inf)
+    return RadialProfile(segs, tail_bound=np.inf)
 
 
 def extremizer_lp_mass(params: ExtremizerParams) -> float:
@@ -130,7 +130,7 @@ def averaged_extremizer_profile(params: ExtremizerParams) -> RadialProfile:
                                 (-R ** (-1.0 - 1.0 / p) / 2.0, 1.0)]),
         PowerSegment(2 * R, np.inf, [(c_tail, -1.0)]),
     ]
-    return RadialProfile(segs, nonincreasing=True, tail_bound=1.0)
+    return RadialProfile(segs, tail_bound=1.0)
 
 
 def inverse_area_tail(s, p: float, sp: SpaceParams):
@@ -211,7 +211,7 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> Radi
         raise numerics.QuadratureError(
             f"grid too coarse for the inverse Laplacian (estimated error {disc:.2e}); "
             f"increase GridSpec.points")
-    return sampled_profile(s_fine, Tv, nonincreasing=True)
+    return sampled_profile(s_fine, Tv)
 
 
 def inverse_laplacian_iterates(params: ExtremizerParams, k: int) -> list[RadialProfile]:
@@ -295,4 +295,4 @@ def second_order_majorant(f: RadialProfile, sp: SpaceParams, p: float) -> Radial
 
     edges = [0.0] + sorted(b for b in bks if np.isfinite(b)) + [np.inf]
     segs = [FuncSegment(a, b, h_val, d1=h_d1) for a, b in zip(edges[:-1], edges[1:])]
-    return RadialProfile(segs, nonincreasing=True, tail_bound=1.0)
+    return RadialProfile(segs, tail_bound=1.0)

@@ -193,8 +193,6 @@ def radius_for_volume(s, sp: SpaceParams):
 def surface_measure(s, sp: SpaceParams):
     """Area A(s) of the geodesic sphere enclosing hyperbolic volume s."""
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
-        raise DomainError("volume must be nonnegative")
     rho = radius_for_volume(s_arr, sp)
     out = sphere_area_of_radius(rho, sp)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out

@@ -57,8 +57,9 @@ class GridSpec:
             raise ValueError("s_min must be positive")
         if not (self.s_max > self.s_min):
             raise ValueError("s_max must exceed s_min")
-        if self.points < 2:
-            raise ValueError("need at least two grid points")
+        # the inverse Laplacian's half grid needs the five samples of Simpson
+        if self.points < 3:
+            raise ValueError("need at least three grid points")
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -336,22 +337,21 @@ def batched_gauss(fn, a, b, order: int = 16) -> np.ndarray:
 
 def cumulative_simpson(y, h):
     """Cumulative integral with composite Simpson on a uniform grid of an
-    odd number of samples (ValueError otherwise).
+    odd number of samples, at least five (ValueError otherwise).
 
-    Odd intermediate points are filled with the half-panel Simpson rule.
+    Each odd node adds one step of the cubic through its four nearest
+    samples to the even node before it: every node is exact for cubics.
     """
     n = len(y)
-    if n % 2 == 0:
-        raise ValueError(f"composite Simpson needs an odd number of samples, got {n}")
+    if n % 2 == 0 or n < 5:
+        raise ValueError(f"composite Simpson needs an odd number of samples >= 5, got {n}")
     out = np.zeros(n)
     # two-step Simpson increments
     inc2 = h / 3.0 * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    even = np.zeros(len(inc2) + 1)
-    even[1:] = np.cumsum(inc2)
-    out[::2] = even
-    # half-panel values via local quadratic interpolation
-    left = h / 12.0 * (5.0 * y[:-2:2] + 8.0 * y[1:-1:2] - y[2::2])
-    out[1::2] = out[:-2:2] + left
+    out[2::2] = np.cumsum(inc2)
+    out[1] = h / 24.0 * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3])
+    out[3::2] = out[2:-1:2] + h / 24.0 * (-y[1:-3:2] + 13.0 * (y[2:-2:2] + y[3:-1:2])
+                                          - y[4::2])
     return out
 
 

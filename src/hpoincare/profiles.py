@@ -159,10 +159,6 @@ def _fd_log_derivatives(w, h):
     w1[-1] = (w[-1] - w[-2]) / h
     w2[0] = w2[1]
     w2[-1] = w2[-2]
-    if n < 5:
-        for i in range(1, n - 1):
-            w1[i] = (w[i + 1] - w[i - 1]) / (2 * h)
-            w2[i] = (w[i + 1] - 2 * w[i] + w[i - 1]) / (h * h)
     return w1, w2
 
 
@@ -258,11 +254,12 @@ class SampledSegment(Segment):
         """Integral of |v|^p ds = |v|^p s dt over the segment, by composite
         Simpson on the samples, checked against Simpson on every other
         sample. None defers to the adaptive quadrature where the node count
-        is not 1 mod 4 (both rules need an odd count), the data change sign
-        (|v|^p then has a kink between nodes), or the two sums differ by more
-        than numerics.REL_TOL relative, which a non-finite sum always does."""
-        if len(self.nodes) % 4 != 1 or not (np.all(self.values > 0)
-                                            or np.all(self.values < 0)):
+        is not 1 mod 4 or below 9 (both rules need an odd count of at least
+        five), the data change sign (|v|^p then has a kink between nodes), or
+        the two sums differ by more than numerics.REL_TOL relative, which a
+        non-finite sum always does."""
+        if len(self.nodes) % 4 != 1 or len(self.nodes) < 9 or not (
+                np.all(self.values > 0) or np.all(self.values < 0)):
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             f = np.abs(self.values) ** p * self.nodes
@@ -331,7 +328,7 @@ class RadialProfile:
     breakpoint: |v(s)| <= const * s^(-tail_bound).
     """
 
-    def __init__(self, segments, nonincreasing=False, tail_bound=None):
+    def __init__(self, segments, tail_bound=None):
         segments = tuple(segments)
         if not segments:
             raise ValueError("profile needs at least one segment")
@@ -343,7 +340,6 @@ class RadialProfile:
             if left.s_hi != right.s_lo:
                 raise ValueError("segments must partition [0, inf) contiguously")
         self.segments = segments
-        self.nonincreasing = bool(nonincreasing)
         self.tail_bound = tail_bound
         self._bounds = np.array([seg.s_lo for seg in segments[1:]])
         self._cum_cache = None
@@ -426,8 +422,8 @@ def zero_tail(s_lo):
 
 def constant_profile(c):
     if c == 0:
-        return RadialProfile([zero_tail(0.0)], nonincreasing=True, tail_bound=np.inf)
-    return RadialProfile([PowerSegment(0.0, np.inf, [(c, 0.0)])], nonincreasing=c >= 0)
+        return RadialProfile([zero_tail(0.0)], tail_bound=np.inf)
+    return RadialProfile([PowerSegment(0.0, np.inf, [(c, 0.0)])])
 
 
 def indicator_profile(lo, hi, height=1.0):
@@ -437,10 +433,10 @@ def indicator_profile(lo, hi, height=1.0):
         segs.append(PowerSegment(0.0, lo, ()))
     segs.append(PowerSegment(lo, hi, [(height, 0.0)]))
     segs.append(zero_tail(hi))
-    return RadialProfile(segs, nonincreasing=(lo == 0.0 and height >= 0), tail_bound=np.inf)
+    return RadialProfile(segs, tail_bound=np.inf)
 
 
-def sampled_profile(nodes, values, nonincreasing=False):
+def sampled_profile(nodes, values):
     """Profile from log-grid samples, with a constant head below the first
     node and a 1/s power tail above the last node, matched to the first and
     last samples."""
@@ -450,4 +446,4 @@ def sampled_profile(nodes, values, nonincreasing=False):
     segs.append(SampledSegment(nodes, values))
     c = values[-1] * nodes[-1]
     segs.append(PowerSegment(nodes[-1], np.inf, [(c, -1.0)] if c != 0 else []))
-    return RadialProfile(segs, nonincreasing=nonincreasing, tail_bound=1.0)
+    return RadialProfile(segs, tail_bound=1.0)

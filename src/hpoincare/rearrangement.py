@@ -5,16 +5,17 @@ function, the Hardy inequality check with the conjugate-exponent constant,
 and radialization back onto hyperbolic space.
 
 The distribution function mu of |v| is summed in closed form over the
-monotone pieces of v. The decreasing rearrangement f* reads a table of mu at
-the critical values of |v| (the ends of the pieces) and just below each: a
-level t inside a jump of mu lies on a plateau of f*, which is returned
-exactly; elsewhere mu is strictly monotone on the bracket and f*(t) is
-refined by a vectorized Illinois (safeguarded regula falsi) iteration in
-ln y. The primitive of f* comes from the layer-cake identity
-int_0^s f* = int_{|v| > y} |v| + y (s - mu(y)) with y = f*(s), so running
-averages and Hardy checks of f* need no quadrature grid over f*.
-Distribution functions of f* itself invert f* on s with the same Illinois
-iteration, independently of the mu of its source.
+monotone pieces of v, cut where v or v' changes sign; where they show v
+>= 0 and never rising from s = 0, v is its own rearrangement f*. Otherwise
+f* reads a table of mu at the critical values of |v| (the ends of the
+pieces) and just below each: a level t inside a jump of mu lies on a
+plateau of f*, which is returned exactly; elsewhere mu is strictly
+monotone on the bracket and f*(t) is refined by a vectorized Illinois
+(safeguarded regula falsi) iteration in ln y. The primitive of f* comes
+from the layer-cake identity int_0^s f* = int_{|v| > y} |v| + y (s - mu(y))
+with y = f*(s), so running averages and Hardy checks of f* need no
+quadrature grid over f*. Distribution functions of f* itself invert f* on s
+with the same Illinois iteration, independently of the mu of its source.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ _PROBE = 129
 _PIECES = weakref.WeakKeyDictionary()
 
 
-def _segment_cuts(seg, value_only=False):
-    """Interior abscissae where v, or (unless value_only) v', changes sign
-    within the segment: sign changes on a probe grid, all refined at once
-    by the Illinois iteration."""
+def _segment_cuts(seg):
+    """Interior abscissae where v or v' changes sign within the segment:
+    sign changes on a probe grid, all refined at once by the Illinois
+    iteration. A single power term and a piece of a decreasing
+    rearrangement (>= 0, never rising) need no cuts."""
     lo, hi = seg.s_lo, seg.s_hi
-    if np.isinf(hi):
-        return []
-    if isinstance(seg, PowerSegment) and len(seg.terms) <= 1:
+    if np.isinf(hi) or isinstance(seg, _RearrangedSegment) or (
+            isinstance(seg, PowerSegment) and len(seg.terms) <= 1):
         return []
     eps = (hi - lo) * 1e-9
     if lo > 0 and hi / lo > 10:
@@ -66,7 +67,7 @@ def _segment_cuts(seg, value_only=False):
     else:
         xs = np.linspace(lo + eps, hi - eps, _PROBE)
     cuts = []
-    for fn in (seg.value,) if value_only else (seg.value, seg.deriv):
+    for fn in (seg.value, seg.deriv):
         ys = np.asarray(fn(xs), dtype=float)
         i = np.flatnonzero(np.diff(np.signbit(ys)))
         if i.size:
@@ -92,10 +93,7 @@ def _monotone_pieces(profile):
     for seg in profile.segments:
         if seg.is_zero():
             continue
-        # a nonincreasing profile is monotone on every segment, but it may
-        # still cross zero once
-        cuts = _segment_cuts(seg, value_only=profile.nonincreasing)
-        edges = [seg.s_lo] + cuts + [seg.s_hi]
+        edges = [seg.s_lo] + _segment_cuts(seg) + [seg.s_hi]
         for a, b in zip(edges[:-1], edges[1:]):
             if np.isinf(b):
                 probe = max(2 * a, 1.0)
@@ -194,10 +192,6 @@ def distribution_function(v: RadialProfile, t):
     return float(out[0]) if t_arr.ndim == 0 else out
 
 
-def _sup_value(profile):
-    return max([max(p.va, p.vb) for p in _monotone_pieces(profile)], default=0.0)
-
-
 def _occupied(pieces, levels):
     """Which break intervals of a level table have positive measure, from
     the pieces alone: the plateau at c_j (interval 2j) iff a piece is
@@ -209,6 +203,17 @@ def _occupied(pieces, levels):
     plateau = np.any(flat & (lo == levels[:-1]), axis=0)
     ramp = np.any(~flat & (lo <= levels[1:]) & (hi >= levels[:-1]), axis=0)
     return np.column_stack([plateau, ramp]).ravel()
+
+
+def _is_own_rearrangement(pieces, sup):
+    """Whether the monotone pieces show v >= 0 and never rising from s = 0,
+    with no gap between pieces (a zero segment inside the support). Each
+    comparison allows 4 ulp of sup: closed forms round up at segment joins."""
+    slack = 4 * np.spacing(sup)
+    # where the piece before each ends, and |v| there
+    before = [(0.0, np.inf)] + [(p.b, p.vb) for p in pieces]
+    return all(p.sign > 0 and p.a == end and p.va <= top + slack and p.vb <= p.va + slack
+               for p, (end, top) in zip(pieces, before))
 
 
 class _LevelTable:
@@ -291,19 +296,18 @@ class _RearrangedSegment(FuncSegment):
 
 
 def decreasing_rearrangement(v: RadialProfile) -> RadialProfile:
-    """Nonincreasing rearrangement of |v|, equimeasurable with |v|.
+    """Decreasing rearrangement of |v|, equimeasurable with |v|.
 
-    Plateaus of f* become constant segments; the parts between are
-    _RearrangedSegments, all reading one level table of v.
+    v itself where its monotone pieces show it is its own rearrangement;
+    otherwise plateaus of f* become constant segments and the parts between
+    are _RearrangedSegments, all reading one level table of v.
     """
-    if v.nonincreasing:
-        return v
     pieces = _monotone_pieces(v)
-    if not pieces:
-        return RadialProfile([zero_tail(0.0)], nonincreasing=True, tail_bound=np.inf)
-    sup = _sup_value(v)
+    sup = max([max(p.va, p.vb) for p in pieces], default=0.0)
     if not np.isfinite(sup):
         raise QuadratureError("unbounded profiles are not supported by the rearrangement")
+    if _is_own_rearrangement(pieces, sup):
+        return v
     # verify all super-level sets are finite
     probe = _measure_above(v, np.array([sup * 1e-12]))
     if not np.all(np.isfinite(probe)):
@@ -333,7 +337,7 @@ def decreasing_rearrangement(v: RadialProfile) -> RadialProfile:
         tail_bound = np.inf
     else:
         tail_bound = v.tail_bound
-    return RadialProfile(segs, nonincreasing=True, tail_bound=tail_bound)
+    return RadialProfile(segs, tail_bound=tail_bound)
 
 
 def maximal_function(vstar: RadialProfile) -> RadialProfile:
@@ -367,7 +371,7 @@ def maximal_function(vstar: RadialProfile) -> RadialProfile:
         tb = vstar.tail_bound
         tail_bound = min(tb, 1.0) if tb is not None else None
         segs.append(FuncSegment(prev, np.inf, avg, d1=avg_d1))
-    return RadialProfile(segs, nonincreasing=vstar.nonincreasing, tail_bound=tail_bound)
+    return RadialProfile(segs, tail_bound=tail_bound)
 
 
 @dataclass(frozen=True)

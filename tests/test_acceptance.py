@@ -117,7 +117,7 @@ def test_criterion_4_rearrangement_suite():
             prof = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]),
                                   PowerSegment(1, math.exp(L), [(1.0, -1 / p)]),
                                   zero_tail(math.exp(L))],
-                                 nonincreasing=True, tail_bound=np.inf)
+                                 tail_bound=np.inf)
             ratios.append(hardy_check(prof, p).ratio)
         attain_ok &= ratios[0] < ratios[1] < ratios[2] and ratios[2] >= 0.99
         attained[p] = ratios[2]

@@ -138,6 +138,9 @@ class TestRadiusForVolume:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             radius_for_volume(-1.0, SpaceParams(3))
+        # surface_measure rejects it through the volume inversion
+        with pytest.raises(DomainError):
+            surface_measure(-1.0, SpaceParams(3))
 
 
 class TestSurfaceMeasure:

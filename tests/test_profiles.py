@@ -89,9 +89,11 @@ class TestSegments:
         _assert_middle_deferred(sampled_profile(nodes, np.cos(np.log(nodes))), 1.5)
 
     def test_sampled_lp_mass_defers_on_node_count(self):
-        # 200 nodes: no odd count for Simpson, so the adaptive path
-        nodes = np.geomspace(0.1, 100.0, 200)
-        _assert_middle_deferred(sampled_profile(nodes, 1.0 / (1.0 + nodes)), 1.5)
+        # 200 nodes: no odd count for Simpson, so the adaptive path; 5
+        # nodes: 1 mod 4, but the half-grid check would have only three
+        for count in (200, 5):
+            nodes = np.geomspace(0.1, 100.0, count)
+            _assert_middle_deferred(sampled_profile(nodes, 1.0 / (1.0 + nodes)), 1.5)
 
     def test_sampled_lp_mass_defers_on_infinite_sample(self):
         # the Simpson check fails on a non-finite sum, and the adaptive path
@@ -125,6 +127,16 @@ class TestSegments:
         built = vars(seg)["_log_derivs"]
         seg.deriv2(s)
         assert vars(seg)["_log_derivs"] is built
+
+    def test_fd_log_derivatives_on_four_samples(self):
+        # the fewest a sampled segment holds: both interior points take the
+        # central differences, the ends one-sided ones
+        w, h = np.array([1.0, 3.0, 4.0, 9.0]), 0.5
+        w1, w2 = _fd_log_derivatives(w, h)
+        assert np.array_equal(w1[1:3], (w[2:] - w[:2]) / (2 * h))
+        assert np.array_equal(w2[1:3], (w[2:] - 2 * w[1:3] + w[:2]) / (h * h))
+        assert np.array_equal(w1[[0, 3]], [(w[1] - w[0]) / h, (w[3] - w[2]) / h])
+        assert np.array_equal(w2[[0, 3]], w2[[1, 2]])
 
     def test_segment_interval_validation(self):
         with pytest.raises(ValueError):
@@ -189,7 +201,7 @@ class TestRadialProfile:
         A = math.exp(600.0)
         prof = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]),
                               PowerSegment(1, A, [(1.0, -1.0 / 3.0)]),
-                              zero_tail(A)], nonincreasing=True)
+                              zero_tail(A)])
         assert prof.lp_power(3.0) == pytest.approx(601.0, rel=1e-12)
 
     def test_lp_power_two_term_tail(self):
@@ -213,7 +225,7 @@ class TestRadialProfile:
 
     def test_sampled_profile_structure(self):
         nodes = np.geomspace(1.0, 100.0, 64)
-        prof = sampled_profile(nodes, 1.0 / nodes, nonincreasing=True)
+        prof = sampled_profile(nodes, 1.0 / nodes)
         assert prof(np.array([0.5]))[0] == pytest.approx(1.0, rel=1e-8)  # flat head
         assert prof(np.array([1000.0]))[0] == pytest.approx(1e-3, rel=1e-6)  # 1/s tail
         assert prof.tail_bound == 1.0

@@ -5,8 +5,11 @@ import pytest
 
 from conftest import random_profile
 from hpoincare.cli import _random_profile
+from hpoincare.extremizers import (ExtremizerParams, averaged_extremizer_profile,
+                                   extremizer_profile, inverse_laplacian,
+                                   inverse_laplacian_iterates)
 from hpoincare.geometry import SpaceParams, ball_volume
-from hpoincare.numerics import DomainError, QuadratureError, integrate
+from hpoincare.numerics import DomainError, GridSpec, QuadratureError, integrate
 from hpoincare.profiles import (PowerSegment, RadialProfile, indicator_profile,
                                 zero_tail)
 from hpoincare.rearrangement import (_segment_cuts, decreasing_rearrangement,
@@ -172,6 +175,79 @@ class TestDecreasingRearrangement:
                 assert vstar.running_integral(s) == pytest.approx(want, rel=1e-9)
 
 
+def signed_source_iterate():
+    """Inverse Laplacian of 1 on [0, 1), -2 on [1, 2): from 0.0177 at s = 0
+    it falls through 0 to -0.0495 near s = 1.5, then rises back towards 0."""
+    v = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]),
+                       PowerSegment(1, 2, [(-2.0, 0.0)]), zero_tail(2.0)])
+    return inverse_laplacian(v, SpaceParams(3), GridSpec(1e-6, 1e4, 4096))
+
+
+class TestOwnRearrangement:
+    """A profile is its own rearrangement when its monotone pieces show it
+    >= 0 and never rising from s = 0; no caller declares it."""
+
+    def test_signed_iterate_distribution(self):
+        it = signed_source_iterate()
+        seg = it.segments[1]
+        x, y = seg.nodes, np.abs(seg.values)
+        for t in (0.02476, 0.04456):
+            # the two ends of {|it| > t}, interpolated linearly between nodes
+            i = np.flatnonzero(np.diff(y > t))
+            ends = x[i] + (t - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
+            assert ends.size == 2
+            assert distribution_function(it, t) == pytest.approx(ends[1] - ends[0], rel=1e-4)
+
+    def test_signed_iterate_rearranged(self):
+        it = signed_source_iterate()
+        vstar = decreasing_rearrangement(it)
+        assert np.all(vstar(np.geomspace(1e-6, 1e4, 200)) >= 0)
+        sup = float(np.max(np.abs(it.segments[1].values)))
+        levels = np.geomspace(sup * 1e-2, sup * 0.99, 10)
+        mu = distribution_function(it, levels)
+        assert np.all(np.abs(distribution_function(vstar, levels) - mu) <= 1e-7 * mu)
+
+    def test_descending_steps(self):
+        prof = RadialProfile([PowerSegment(0, 1, [(2.0, 0.0)]),
+                              PowerSegment(1, 3, [(0.5, 0.0)]), zero_tail(3.0)])
+        assert decreasing_rearrangement(prof) is prof
+
+    def test_gap_or_sign_is_rearranged(self):
+        # |v| never rises on its pieces, but v < 0, or v = 0 between them
+        negative = RadialProfile([PowerSegment(0, 1, [(-1.0, 0.0)]), zero_tail(1.0)])
+        gap = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]), PowerSegment(1, 2, ()),
+                             PowerSegment(2, 3, [(1.0, 0.0)]), zero_tail(3.0)])
+        for prof, support in ((negative, 1.0), (gap, 2.0)):
+            vstar = decreasing_rearrangement(prof)
+            assert vstar is not prof
+            assert vstar.support_end() == support
+            assert vstar(0.5) == 1.0
+
+    def test_rise_beyond_the_slack(self):
+        prof = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]),
+                              PowerSegment(1, 2, [(1.0 + 1e-12, 0.0)]), zero_tail(2.0)])
+        vstar = decreasing_rearrangement(prof)
+        assert vstar is not prof
+        assert vstar(0.0) == 1.0 + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_extremizer_family(self, n):
+        # closed forms round up at segment joins: at n = 8, p = 6 the ramp
+        # starts about 8 ulp of R^(-1/p) above the power piece, within the
+        # slack of 4 ulp of the sup s0^(-1/p)
+        for p in (1.2, 1.5, 2.0, 3.0, 6.0):
+            for log_ratio in (10.0, 20.0, 40.0):
+                params = ExtremizerParams.create(SpaceParams(n), p, 0.05, log_ratio)
+                for prof in (extremizer_profile(params), averaged_extremizer_profile(params)):
+                    assert decreasing_rearrangement(prof) is prof, (p, log_ratio)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
+    def test_first_iterate(self, p):
+        params = ExtremizerParams.create(SpaceParams(3), p, 0.05, 10.0)
+        it = inverse_laplacian_iterates(params, 1)[0]
+        assert decreasing_rearrangement(it) is it
+
+
 class TestMaximalFunction:
     def test_indicator_closed_form(self):
         # f* = 1 on [0,1): f** = 1 on [0,1), 1/s after
@@ -202,7 +278,7 @@ class TestHardy:
                 assert rep.holds and rep.ratio < 1.0
 
     def test_zero_profile_trivial(self):
-        prof = RadialProfile([zero_tail(0.0)], nonincreasing=True)
+        prof = RadialProfile([zero_tail(0.0)])
         rep = hardy_check(prof, 2.0)
         assert rep.holds and rep.lhs == 0.0
 
