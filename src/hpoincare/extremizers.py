@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics, rearrangement
-from .geometry import SpaceParams, surface_measure
+from .geometry import SpaceParams, radius_on_log_grid, sphere_area_of_radius, surface_measure
 from .numerics import GridSpec
 from .profiles import (FuncSegment, PowerSegment, RadialProfile, SampledSegment,
                        sampled_profile, zero_tail)
@@ -162,6 +162,20 @@ def inverse_area_tail_slope(s, p: float, sp: SpaceParams):
 _REFINE = 4
 
 
+class _FineGrid(GridSpec):
+    """A GridSpec with the inverse Laplacian's nodes built for one dimension:
+    the grid refined _REFINE times (s), its step h in ln s and the sphere
+    areas (area), the volumes inverted coarse-to-fine."""
+
+    def __init__(self, grid: GridSpec, sp: SpaceParams):
+        super().__init__(grid.s_min, grid.s_max, grid.points)
+        t = np.linspace(math.log(grid.s_min), math.log(grid.s_max),
+                        (grid.points - 1) * _REFINE + 1)
+        # GridSpec freezes its own fields only
+        self.s, self.h = np.exp(t), t[1] - t[0]
+        self.area = sphere_area_of_radius(radius_on_log_grid(self.s, _REFINE, sp), sp)
+
+
 def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> RadialProfile:
     """Radial inverse of the negative Laplacian in the volume coordinate.
 
@@ -171,12 +185,14 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> Radi
     from the top of the grid. The result, which satisfies -(A^2 u')' = v, is
     the sampled profile of every node of the refined grid; QuadratureError
     where a pass overflows or the Richardson estimate exceeds 1e-5.
+    The refined nodes and areas are built here unless grid is a _FineGrid,
+    which inverse_laplacian_iterates shares between its passes.
     """
-    n_fine = (grid.points - 1) * _REFINE + 1
-    t_fine = np.linspace(math.log(grid.s_min), math.log(grid.s_max), n_fine)
-    s_fine = np.exp(t_fine)
-    h = t_fine[1] - t_fine[0]
-    vals = np.asarray(v(s_fine), dtype=float)
+    fine = grid if isinstance(grid, _FineGrid) else _FineGrid(grid, sp)
+    s_fine, h, n_fine = fine.s, fine.h, fine.s.size
+    # an iterate on these same nodes passes its samples as they are
+    mid = v.segments[1] if len(v.segments) > 1 else None
+    vals = mid.values if getattr(mid, "nodes", None) is s_fine else np.asarray(v(s_fine), float)
     if np.any(np.isnan(vals)):
         raise numerics.QuadratureError("profile returned NaN on the grid")
 
@@ -188,8 +204,7 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> Radi
         V = numerics.cumulative_simpson(integrand_in, h)
         V += vals[0] * s_fine[0]
 
-        area = surface_measure(s_fine, sp)
-        integrand_out = V * s_fine / area ** 2
+        integrand_out = V * s_fine / fine.area ** 2
         # analytic 1/r^2-type tail beyond the grid (integrand decays like e^-t)
         tail = integrand_out[-1]
         # the descending integral is summed from the top: as the difference of
@@ -216,10 +231,11 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> Radi
 
 def inverse_laplacian_iterates(params: ExtremizerParams, k: int) -> list[RadialProfile]:
     """Iterated inverses of the negative Laplacian applied to the extremizer,
-    on the default grid."""
+    on the default grid, whose refined nodes and sphere areas every pass
+    shares; each pass after the first takes the samples of the one before."""
     if k < 0:
         raise ValueError("iteration order must be nonnegative")
-    grid = default_grid(params)
+    grid = _FineGrid(default_grid(params), params.sp)
     iterates = []
     current = extremizer_profile(params)
     for _ in range(k):

@@ -101,13 +101,14 @@ def sinh_power_primitive(rho, n: int):
         out[small] = r_small ** n * acc
     big = ~small
     if np.any(big):
-        acc = np.zeros_like(rho[big])
+        r_big = rho[big]
+        acc = np.zeros_like(r_big)
         for a, c in _binom_terms(n):
             coef = c / 2.0 ** (n - 1)
             if a == 0:
-                acc = acc + coef * rho[big]
+                acc = acc + coef * r_big
             else:
-                acc = acc + coef * np.expm1(a * rho[big]) / a
+                acc = acc + coef * np.expm1(a * r_big) / a
         out[big] = acc
     return out[0] if scalar else out
 
@@ -136,16 +137,19 @@ def log_sphere_area_of_radius(rho, sp: SpaceParams):
     return math.log(sp.sphere_area) + (sp.n - 1) * log_sinh
 
 
+# above (n-1) rho = 500 the ball volume is its leading exponential to 1e-27;
+# below, the primitive's rounding and the volume step between neighbouring
+# radii stay inside the 1e-13 test
+_LOG_FAR = 500.0
+
+
 def radius_for_volume(s, sp: SpaceParams):
     """Geodesic radius of the ball with hyperbolic volume s (inverse of ball_volume).
 
-    Safeguarded vectorized Newton iteration on ln(volume), run until the
-    volume is within 1e-13 relative; seeded by the small-ball power law and
-    the large-ball exponential asymptote. Each step evaluates only the
-    points not yet converged. Raises DomainError, naming the first such
-    volume, when an iterate is not finite (a volume that underflows to 0,
-    or one whose expansion overflows) or 80 steps do not converge (a
-    subnormal volume, resolved to fewer digits than the test asks).
+    `_newton_radius` from the small-ball power law and the large-ball
+    exponential asymptote. Inverts every finite volume; DomainError, naming
+    the first such volume, for one that underflows to 0 in the iteration or
+    does not converge in 80 steps (a subnormal one).
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < 0):
@@ -153,40 +157,87 @@ def radius_for_volume(s, sp: SpaceParams):
     n = sp.n
     rho = np.zeros_like(s_arr)
     pos = s_arr > 0
-    # an overflow, or the log of 0, ends as a non-finite iterate, which raises
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sv = s_arr[pos]
+    sv = s_arr[pos]
+    with np.errstate(over="ignore", divide="ignore"):
         # small-ball seed overestimates the root, the exponential-asymptote
         # seed underestimates it; use the former only for moderate radii to
         # avoid overflowing sinh during the iteration
         seed_small = np.minimum((sv / sp.omega_n) ** (1.0 / n), 3.0)
         seed_big = np.log(sv * (n - 1) * 2.0 ** (n - 1) / sp.sphere_area) / (n - 1)
         r = np.maximum(seed_small, np.where(np.isfinite(seed_big), seed_big, 0.0))
-        r = np.maximum(r, 1e-300)
-        target = np.log(sv)
-        live = np.arange(sv.size)  # indices of the points not yet converged
+    rho[pos] = _newton_radius(sv, r, sp)
+    if np.isscalar(s) or np.asarray(s).ndim == 0:
+        return float(rho[0])
+    return rho
+
+
+def _far_volume_ratio(rho, s, sp: SpaceParams):
+    """ball_volume(rho) / s past _LOG_FAR: the leading exponential as
+    (e^rho)^(n-1), binary exponents split off, so that nothing overflows and
+    no rounding of ln s near 700 (up to 1e-13) enters."""
+    n = sp.n
+    m, e = np.frexp(np.exp(rho))
+    ms, es = np.frexp(s)
+    return np.ldexp(sp.sphere_area / ((n - 1) * 2.0 ** (n - 1)) * m ** (n - 1) / ms,
+                    (n - 1) * e - es)
+
+
+def _newton_radius(sv, r, sp: SpaceParams):
+    """Radii of the positive volumes sv by safeguarded vectorized Newton on
+    ln(volume) from the seeds r, until the volume is within 1e-13 relative;
+    each step evaluates only the points not yet converged, and reads
+    `_far_volume_ratio` past _LOG_FAR, where expm1((n-1) rho) overflows or
+    rounds too coarsely for the test. DomainError as in radius_for_volume."""
+    n = sp.n
+    r = np.maximum(r, 1e-300)
+    live = np.arange(sv.size)  # indices of the points not yet converged
+    r_live, s_live = r, sv
+    # an overflow, or the log of 0, ends as a non-finite iterate, which raises
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(80):
-            r_live = r[live]
             vol = sp.sphere_area * sinh_power_primitive(r_live, n)
-            done = np.abs(vol - sv[live]) <= 1e-13 * sv[live]
-            live, r_live, vol = live[~done], r_live[~done], vol[~done]
+            done = np.abs(vol - s_live) <= 1e-13 * s_live
+            far = None
+            if (n - 1) * r_live.max(initial=0.0) > _LOG_FAR:
+                far = (n - 1) * r_live > _LOG_FAR
+                done[far] = np.abs(_far_volume_ratio(r_live[far], s_live[far], sp) - 1.0) <= 1e-13
+            keep = ~done
+            live, r_live, s_live, vol = live[keep], r_live[keep], s_live[keep], vol[keep]
             if not live.size:
                 break
             area = sp.sphere_area * np.sinh(r_live) ** (n - 1)
-            step = (np.log(vol) - target[live]) * vol / area
+            step = (np.log(vol) - np.log(s_live)) * vol / area
+            if far is not None:
+                far = far[keep]  # there ln(volume) rises by n-1 per unit of rho
+                step[far] = np.log(_far_volume_ratio(r_live[far], s_live[far], sp)) / (n - 1)
             r_new = r_live - step
             r_new = np.where(r_new <= 0, 0.5 * r_live, r_new)
             bad = ~np.isfinite(r_new)
             if np.any(bad):
                 raise DomainError(f"radius_for_volume: non-finite Newton iterate for "
                                   f"volume {float(sv[live[bad][0]])!r}")
-            r[live] = r_new
-        if live.size:
+            r[live] = r_live = r_new
+        else:
             raise DomainError(f"radius_for_volume: volume {float(sv[live[0]])!r} not "
                               f"within 1e-13 relative after 80 Newton steps")
-    rho[pos] = r
-    if np.isscalar(s) or np.asarray(s).ndim == 0:
-        return float(rho[0])
+    return r
+
+
+def radius_on_log_grid(s, stride: int, sp: SpaceParams):
+    """radius_for_volume on log-uniform volumes s, len(s) - 1 a multiple of
+    stride. Only every stride-th node starts from the default seeds; each
+    node between is seeded by the cubic Hermite step in ln s through the two
+    around it, with the exact slope drho/d(ln s) = s / A(s)."""
+    s = np.asarray(s, dtype=float)
+    rho = np.empty_like(s)
+    rho[::stride] = coarse = radius_for_volume(s[::stride], sp)
+    # drho/d(ln s) times the coarse step, and the fractions of it between
+    slope = s[::stride] / sphere_area_of_radius(coarse, sp) * math.log(s[stride] / s[0])
+    u = (np.arange(1, stride) / stride)[:, None]
+    seeds = ((1 + 2 * u) * (1 - u) ** 2 * coarse[:-1] + u * (1 - u) ** 2 * slope[:-1]
+             + u * u * (3 - 2 * u) * coarse[1:] + u * u * (u - 1) * slope[1:])
+    between = np.arange(s.size) % stride != 0
+    rho[between] = _newton_radius(s[between], seeds.T.ravel(), sp)
     return rho
 
 

@@ -39,7 +39,7 @@ class _Piece:
     seg: object
     sign: float
     va: float  # |v| at the left end
-    vb: float  # |v| at the right end (limit for infinite pieces)
+    vb: float  # |v| at the right end (its limit on an infinite piece)
 
     @property
     def increasing(self):
@@ -85,6 +85,15 @@ def _abs_at(seg, a, probe):
     return va
 
 
+def _tail_limit(seg):
+    """|v| at infinity on an infinite segment: a power segment's constant
+    terms (inf where a term grows); 0 on others, which decay by tail_bound."""
+    if not isinstance(seg, PowerSegment):
+        return 0.0
+    grows = any(c and e > 0 for c, e in seg.terms)
+    return np.inf if grows else abs(sum(c for c, e in seg.terms if e == 0.0))
+
+
 def _monotone_pieces(profile):
     pieces = _PIECES.get(profile)
     if pieces is not None:
@@ -99,7 +108,7 @@ def _monotone_pieces(profile):
                 probe = max(2 * a, 1.0)
                 va = _abs_at(seg, a, probe * 1e-9)
                 sign = np.sign(float(seg.value(np.array([probe]))[0])) or 1.0
-                pieces.append(_Piece(a, b, seg, sign, va, 0.0))
+                pieces.append(_Piece(a, b, seg, sign, va, _tail_limit(seg)))
                 continue
             mid = 0.5 * (a + b)
             va = _abs_at(seg, a, min(b * 1e-12, mid))
@@ -156,11 +165,6 @@ def _superlevel_span(piece, y):
     that set is empty."""
     lo = np.full_like(y, piece.a)
     hi = lo.copy()
-    if np.isinf(piece.b):
-        inside = (y < piece.va) & (y > 0)
-        if np.any(inside):
-            hi[inside] = _invert_piece(piece, y[inside])
-        return lo, hi
     full = y < min(piece.va, piece.vb)
     inside = ~full & (y < max(piece.va, piece.vb))
     hi[full] = piece.b

@@ -12,7 +12,9 @@ from hpoincare.extremizers import (ExtremizerParams, area_ratio,
                                    inverse_laplacian_iterates,
                                    sandwich_decomposition,
                                    second_order_majorant, select_s0)
-from hpoincare.geometry import SpaceParams, laplacian_volume_coord, surface_measure
+from hpoincare import geometry
+from hpoincare.geometry import (SpaceParams, ball_volume, laplacian_volume_coord,
+                                radius_for_volume, radius_on_log_grid, surface_measure)
 from hpoincare.numerics import GridSpec, QuadratureError, cumulative_simpson, integrate
 from hpoincare.profiles import constant_profile, indicator_profile
 from hpoincare.rearrangement import maximal_function
@@ -286,6 +288,75 @@ class TestSecondOrderMajorant:
         s = np.array([0.3, 2.0])
         want = -s * mf(s) / surface_measure(s, SP3) ** 2
         assert np.allclose(h.derivative(s), want, rtol=1e-10)
+
+
+def fine_nodes(grid):
+    """The inverse Laplacian's nodes: the grid refined four times."""
+    return np.exp(np.linspace(math.log(grid.s_min), math.log(grid.s_max),
+                              (grid.points - 1) * 4 + 1))
+
+
+def count_primitive_points(monkeypatch):
+    """Points passed to geometry.sinh_power_primitive from now on."""
+    passed = []
+    primitive = geometry.sinh_power_primitive
+
+    def counting(rho, n):
+        passed.append(np.size(rho))
+        return primitive(rho, n)
+
+    monkeypatch.setattr(geometry, "sinh_power_primitive", counting)
+    return passed
+
+
+class TestFineGrid:
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("log_ratio", [10.0, 40.0, 60.0])
+    @pytest.mark.parametrize("eps", [0.01, 0.05])
+    def test_radii_meet_the_volume_check(self, n, log_ratio, eps):
+        # every node, coarse or seeded between, converges to the 1e-13 test
+        sp = SpaceParams(n)
+        try:
+            params = ExtremizerParams.create(sp, 2.0, eps, log_ratio)
+        except ValueError:
+            pytest.skip("select_s0 finds no s0 at this eps")
+        s = fine_nodes(default_grid(params))
+        vol = ball_volume(radius_on_log_grid(s, 4, sp), sp)
+        assert np.max(np.abs(vol - s) / s) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("log_ratio", [10.0, 57.0])
+    def test_seeded_nodes_take_at_most_two_evaluations(self, n, log_ratio, monkeypatch):
+        # the Hermite seed leaves at most one Newton step and its check
+        sp = SpaceParams(n)
+        s = fine_nodes(default_grid(ExtremizerParams.create(sp, 2.0, 0.05, log_ratio)))
+        passed = count_primitive_points(monkeypatch)
+        radius_for_volume(s[::4], sp)
+        coarse = sum(passed)
+        radius_on_log_grid(s, 4, sp)
+        assert sum(passed) - 2 * coarse <= 2 * (s.size - s[::4].size)
+
+    def test_iterates_invert_one_grid(self, monkeypatch):
+        # the second iterate reads the first one's grid and node values
+        params = make_params(10.0, eps=0.05)
+        passed = count_primitive_points(monkeypatch)
+        radius_on_log_grid(fine_nodes(default_grid(params)), 4, SP3)
+        one_grid = sum(passed)
+        passed.clear()
+        assert len(inverse_laplacian_iterates(params, 2)) == 2
+        assert sum(passed) == one_grid
+
+    def test_inverse_laplacian_is_the_first_iterate(self):
+        params = make_params(10.0, eps=0.05)
+        first, second = inverse_laplacian_iterates(params, 2)
+        grid = default_grid(params)
+        alone = inverse_laplacian(extremizer_profile(params), SP3, grid)
+        assert np.array_equal(alone.segments[1].values, first.segments[1].values)
+        # from a grid of its own the pass evaluates the first iterate's
+        # interpolant at its nodes, which returns the samples to rounding
+        again = inverse_laplacian(first, SP3, grid)
+        assert again.segments[1].values == pytest.approx(second.segments[1].values,
+                                                         rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [3, 6, 7])

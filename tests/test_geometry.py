@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -115,13 +116,37 @@ class TestRadiusForVolume:
         assert sum(passed) < 4 * s.size
 
     @pytest.mark.parametrize("s, n", [(5e-324, 2), (5e-324, 3), (5e-324, 8), (5e-324, 16),
-                                      (1.7e308, 8), (1.7e308, 16), (1e-310, 8)])
+                                      (1e-310, 8)])
     def test_unconverged_volume_raises(self, s, n):
-        # a volume that underflows to 0 in the iteration, one whose expm1
-        # term overflows (n >= 8), and a subnormal one resolved to fewer
-        # digits than the 1e-13 stopping test
+        # a volume that underflows to 0 in the iteration, and a subnormal one
+        # resolved to fewer digits than the 1e-13 stopping test
         with pytest.raises(DomainError, match=re.escape(repr(s))):
             radius_for_volume(np.array([1.0, s, 2.0]), SpaceParams(n))
+
+    @pytest.mark.parametrize("s, n", list(itertools.product(
+        (1e300, 1.7e308, np.finfo(float).max), (2, 3, 4, 8, 16))))
+    def test_inverts_top_of_float_range(self, s, n):
+        # there the volume is its leading exponential to rounding, whose
+        # inverse is the asymptote ln(s (n-1) 2^(n-1) / |S^(n-1)|) / (n-1);
+        # at 9 of these volumes expm1((n-1) rho) overflows
+        sp = SpaceParams(n)
+        want = (math.log(s) + math.log((n - 1) * 2.0 ** (n - 1) / sp.sphere_area)) / (n - 1)
+        assert radius_for_volume(np.array([1.0, s]), sp)[1] == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("s, n", [(3.028656361143884e248, 10), (1.891741658717011e298, 11)])
+    def test_inverts_past_radius_64(self, s, n):
+        # at rho just above 64 the volume step between neighbouring radii is
+        # (n-1) ulp(rho) = 1.3e-13 and 1.4e-13, and the rounding of expm1
+        # puts both radii next to each root outside the 1e-13 test
+        sp = SpaceParams(n)
+        want = (math.log(s) + math.log((n - 1) * 2.0 ** (n - 1) / sp.sphere_area)) / (n - 1)
+        assert radius_for_volume(s, sp) == pytest.approx(want, rel=1e-14)
+
+    def test_whole_float_range_inverts(self):
+        s = np.geomspace(1e-300, 1e308, 20001)
+        for n in range(2, 17):
+            rho = radius_for_volume(s, SpaceParams(n))
+            assert np.all(np.isfinite(rho)) and np.all(np.diff(rho) > 0)
 
     def test_asymptotic_offset_converges(self):
         sp = SpaceParams(3)

@@ -10,8 +10,8 @@ from hpoincare.extremizers import (ExtremizerParams, averaged_extremizer_profile
                                    inverse_laplacian_iterates)
 from hpoincare.geometry import SpaceParams, ball_volume
 from hpoincare.numerics import DomainError, GridSpec, QuadratureError, integrate
-from hpoincare.profiles import (PowerSegment, RadialProfile, indicator_profile,
-                                zero_tail)
+from hpoincare.profiles import (PowerSegment, RadialProfile, constant_profile,
+                                indicator_profile, zero_tail)
 from hpoincare.rearrangement import (_segment_cuts, decreasing_rearrangement,
                                      distribution_function, hardy_check,
                                      maximal_function, radialize)
@@ -58,6 +58,25 @@ class TestDistributionFunction:
         t = np.array([1e-3, 0.1])
         mu = distribution_function(prof, t)
         assert np.all(np.isfinite(mu)) and mu[0] > mu[1]
+
+
+class TestInfinitePieces:
+    # an infinite piece ends at the limit of its segment
+
+    def test_constant_tail_has_infinite_superlevel_sets(self):
+        assert distribution_function(constant_profile(1.0), 0.5) == np.inf
+        assert distribution_function(constant_profile(1.0), 1.0) == 0.0
+
+    def test_negative_constant_rearrangement_raises(self):
+        with pytest.raises(QuadratureError, match="infinite measure"):
+            decreasing_rearrangement(constant_profile(-1.0))
+
+    def test_decaying_power_tail_unchanged(self):
+        prof = RadialProfile([PowerSegment(0, 1, [(2.0, 0.0)]),
+                              PowerSegment(1, np.inf, [(1.0, -0.5)])], tail_bound=0.5)
+        mu = distribution_function(prof, np.array([0.5, 1.5, 3.0, 0.01]))
+        assert np.array_equal(mu, [4.0, 1.0, 0.0, 1e4])
+        assert decreasing_rearrangement(prof) is prof
 
 
 class TestDecreasingRearrangement:
