@@ -3,7 +3,7 @@
 Subcommands: constant, verify-inequality, sharpness-sweep, hardy-demo,
 selfcheck. Output formats, for all but selfcheck: table (default), csv,
 json. Exit status: 0 if all checks passed, 1 if a mathematical check
-failed, 2 on usage errors.
+failed or a computation did not converge, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import extremizers, rearrangement, variational
 from .geometry import SpaceParams, ball_volume, radius_for_volume
-from .numerics import ABS_TOL, MAX_SPLITS, REL_TOL, DomainError
+from .numerics import ABS_TOL, MAX_SPLITS, REL_TOL, DomainError, QuadratureError
 from .profiles import PowerSegment, RadialProfile, indicator_profile, zero_tail
 
 EXIT_OK = 0
@@ -305,6 +305,9 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except QuadratureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -1,13 +1,14 @@
 """The extremizing machinery for the sharp-constant study.
 
 The compactly supported plateau/power/ramp family, its explicit running
-average, the tail weight whose derivative is the inverse conjugate power of
-the sphere area, the grid-based inverse Laplacian in the volume coordinate,
-its iterates, and the sandwich decomposition check.
+average, the grid-based inverse Laplacian in the volume coordinate, its
+iterates, the sandwich decomposition check, and the second-order majorant
+built from the running average of the rearranged source.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,47 +134,59 @@ def averaged_extremizer_profile(params: ExtremizerParams) -> RadialProfile:
     return RadialProfile(segs, tail_bound=1.0)
 
 
-def inverse_area_tail(s, p: float, sp: SpaceParams):
-    """Tail integral over [s, inf) of A(t)^(-p/(p-1)).
-
-    Strictly decreasing with derivative -A(s)^(-p/(p-1)).
-    """
-    if p <= 1:
-        raise numerics.DomainError("exponent p must exceed 1")
-    pc = p / (p - 1.0)
-    scalar = np.asarray(s).ndim == 0
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr <= 0):
-        raise numerics.DomainError("volume coordinate must be positive")
-    out = numerics.integrate(lambda t, i: surface_measure(t, sp) ** (-pc), s_arr, np.inf,
-                             tail_decay=pc)
-    return float(out[0]) if scalar else out
-
-
-def inverse_area_tail_slope(s, p: float, sp: SpaceParams):
-    """Derivative of the tail weight: -A(s)^(-p/(p-1))."""
-    pc = p / (p - 1.0)
-    return -surface_measure(s, sp) ** (-pc)
-
-
 # fine-grid steps per step of the GridSpec in the inverse Laplacian: a
 # multiple of 4, so that the fine grid and its every-other-node subgrid (of
 # the Richardson check and the L^p mass check) have the odd node count of Simpson
 _REFINE = 4
 
 
-class _FineGrid(GridSpec):
-    """A GridSpec with the inverse Laplacian's nodes built for one dimension:
-    the grid refined _REFINE times (s), its step h in ln s and the sphere
-    areas (area), the volumes inverted coarse-to-fine."""
+@functools.lru_cache(maxsize=1)
+def _fine_grid(grid: GridSpec, sp: SpaceParams):
+    """The last grid refined _REFINE times, kept read-only: its nodes s, their
+    step h in ln s and their sphere areas, the volumes inverted coarse-to-fine."""
+    t = np.linspace(math.log(grid.s_min), math.log(grid.s_max), (grid.points - 1) * _REFINE + 1)
+    s = np.exp(t)
+    area = sphere_area_of_radius(radius_on_log_grid(s, _REFINE, sp), sp)
+    s.flags.writeable = area.flags.writeable = False
+    return s, t[1] - t[0], area
 
-    def __init__(self, grid: GridSpec, sp: SpaceParams):
-        super().__init__(grid.s_min, grid.s_max, grid.points)
-        t = np.linspace(math.log(grid.s_min), math.log(grid.s_max),
-                        (grid.points - 1) * _REFINE + 1)
-        # GridSpec freezes its own fields only
-        self.s, self.h = np.exp(t), t[1] - t[0]
-        self.area = sphere_area_of_radius(radius_on_log_grid(self.s, _REFINE, sp), sp)
+
+def _inverse_pass(vals, s, h, area):
+    """Samples on the fine nodes s of the inverse of the negative Laplacian
+    of the source sampled there as vals; QuadratureError where the source
+    is NaN, a pass overflows or the Richardson estimate exceeds 1e-5."""
+    if np.any(np.isnan(vals)):
+        raise numerics.QuadratureError("profile returned NaN on the grid")
+    # a non-finite result is raised below, so numpy's warnings in the
+    # passes would only repeat it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # inner pass: running integral V(r) of v, head treated as flat below the grid
+        V = numerics.cumulative_simpson(vals * s, h)
+        V += vals[0] * s[0]
+
+        integrand_out = V * s / area ** 2
+        # analytic 1/r^2-type tail beyond the grid (integrand decays like e^-t)
+        tail = integrand_out[-1]
+        # the descending integral is summed from the top: as the difference of
+        # two ascending sums it would lose as many digits as it is orders of
+        # magnitude below the integral over the whole grid
+        desc = numerics.cumulative_simpson(integrand_out[::-1], h)[::-1]
+        Tv = tail + desc
+
+        # Richardson-style discretization estimate: redo the descending pass at
+        # double spacing and compare on shared nodes
+        half_idx = np.arange(0, s.size, 2)
+        desc_half = numerics.cumulative_simpson(integrand_out[half_idx][::-1], 2.0 * h)[::-1]
+        ref = max(abs(Tv[0]), abs(Tv[s.size // 2]))
+        disc = float(np.max(np.abs(desc[half_idx] - desc_half)))
+        disc = disc / ref if disc else 0.0  # the inverse of v = 0 is exactly 0
+    if not np.all(np.isfinite(Tv)):
+        raise numerics.QuadratureError("the inverse Laplacian overflowed on the grid")
+    if not disc <= 1e-5:
+        raise numerics.QuadratureError(
+            f"grid too coarse for the inverse Laplacian (estimated error {disc:.2e}); "
+            f"increase GridSpec.points")
+    return Tv
 
 
 def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> RadialProfile:
@@ -185,62 +198,22 @@ def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> Radi
     from the top of the grid. The result, which satisfies -(A^2 u')' = v, is
     the sampled profile of every node of the refined grid; QuadratureError
     where a pass overflows or the Richardson estimate exceeds 1e-5.
-    The refined nodes and areas are built here unless grid is a _FineGrid,
-    which inverse_laplacian_iterates shares between its passes.
     """
-    fine = grid if isinstance(grid, _FineGrid) else _FineGrid(grid, sp)
-    s_fine, h, n_fine = fine.s, fine.h, fine.s.size
-    # an iterate on these same nodes passes its samples as they are
-    mid = v.segments[1] if len(v.segments) > 1 else None
-    vals = mid.values if getattr(mid, "nodes", None) is s_fine else np.asarray(v(s_fine), float)
-    if np.any(np.isnan(vals)):
-        raise numerics.QuadratureError("profile returned NaN on the grid")
-
-    # a non-finite result is raised below, so numpy's warnings in the
-    # passes would only repeat it
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # inner pass: running integral V(r) of v, head treated as flat below the grid
-        integrand_in = vals * s_fine
-        V = numerics.cumulative_simpson(integrand_in, h)
-        V += vals[0] * s_fine[0]
-
-        integrand_out = V * s_fine / fine.area ** 2
-        # analytic 1/r^2-type tail beyond the grid (integrand decays like e^-t)
-        tail = integrand_out[-1]
-        # the descending integral is summed from the top: as the difference of
-        # two ascending sums it would lose as many digits as it is orders of
-        # magnitude below the integral over the whole grid
-        desc = numerics.cumulative_simpson(integrand_out[::-1], h)[::-1]
-        Tv = tail + desc
-
-        # Richardson-style discretization estimate: redo the descending pass at
-        # double spacing and compare on shared nodes
-        half_idx = np.arange(0, n_fine, 2)
-        desc_half = numerics.cumulative_simpson(integrand_out[half_idx][::-1], 2.0 * h)[::-1]
-        ref = max(abs(Tv[0]), abs(Tv[n_fine // 2]))
-        disc = float(np.max(np.abs(desc[half_idx] - desc_half)))
-        disc = disc / ref if disc else 0.0  # the inverse of v = 0 is exactly 0
-    if not np.all(np.isfinite(Tv)):
-        raise numerics.QuadratureError("the inverse Laplacian overflowed on the grid")
-    if not disc <= 1e-5:
-        raise numerics.QuadratureError(
-            f"grid too coarse for the inverse Laplacian (estimated error {disc:.2e}); "
-            f"increase GridSpec.points")
-    return sampled_profile(s_fine, Tv)
+    s, h, area = _fine_grid(grid, sp)
+    return sampled_profile(s, _inverse_pass(np.asarray(v(s), float), s, h, area))
 
 
 def inverse_laplacian_iterates(params: ExtremizerParams, k: int) -> list[RadialProfile]:
-    """Iterated inverses of the negative Laplacian applied to the extremizer,
-    on the default grid, whose refined nodes and sphere areas every pass
-    shares; each pass after the first takes the samples of the one before."""
+    """Iterated inverses of the negative Laplacian of the extremizer on the
+    default grid: inverse_laplacian, then passes on the samples of the last."""
     if k < 0:
         raise ValueError("iteration order must be nonnegative")
-    grid = _FineGrid(default_grid(params), params.sp)
-    iterates = []
-    current = extremizer_profile(params)
-    for _ in range(k):
-        current = inverse_laplacian(current, params.sp, grid)
-        iterates.append(current)
+    grid = default_grid(params)
+    iterates = [inverse_laplacian(extremizer_profile(params), params.sp, grid)] if k else []
+    for _ in range(k - 1):
+        s, h, area = _fine_grid(grid, params.sp)
+        vals = _inverse_pass(iterates[-1].segments[1].values, s, h, area)
+        iterates.append(sampled_profile(s, vals))
     return iterates
 
 
@@ -252,17 +225,14 @@ def default_grid(params: ExtremizerParams) -> GridSpec:
 @dataclass(frozen=True)
 class SandwichReport:
     w_norm_p: float
-    clamp_excess_sup: float
-    untouched_fraction: float
     untouched_fraction_window: float
-    measured_edge_ratio: float  # iterate value at 2R times R^(1/p)
 
 
 def sandwich_decomposition(params: ExtremizerParams, iterate: RadialProfile,
                            index: int) -> SandwichReport:
     """Clamp an iterate into the band between the two multiples of the
-    extremizer and report the remainder norm and clamping statistics, also
-    over the window [10 s0, R/10]."""
+    extremizer and report the remainder norm and the fraction of nodes in
+    the window [10 s0, R/10] that the clamp leaves untouched."""
     p, eps = params.p, params.eps
     n = params.sp.n
     c = (p * params.p_conj / (n - 1.0) ** 2) ** index
@@ -278,15 +248,12 @@ def sandwich_decomposition(params: ExtremizerParams, iterate: RadialProfile,
     w = values - clamped
     h = math.log(nodes[1] / nodes[0])
     w_norm_p = numerics.cumulative_simpson(np.abs(w) ** p * nodes, h)[-1] ** (1.0 / p)
-    untouched = np.isclose(w, 0.0, atol=0.0)
     in_window = (nodes >= 10.0 * params.s0) & (nodes <= params.R / 10.0)
-    frac_all = float(np.mean(untouched))
-    frac_win = float(np.mean(untouched[in_window])) if np.any(in_window) else float("nan")
-    edge = float(iterate(np.array([2.0 * params.R]))[0]) * params.R ** (1.0 / p)
-    return SandwichReport(w_norm_p, float(np.max(np.abs(w))), frac_all, frac_win, edge)
+    frac_win = float(np.mean(w[in_window] == 0.0)) if np.any(in_window) else float("nan")
+    return SandwichReport(w_norm_p, frac_win)
 
 
-def second_order_majorant(f: RadialProfile, sp: SpaceParams, p: float) -> RadialProfile:
+def second_order_majorant(f: RadialProfile, sp: SpaceParams) -> RadialProfile:
     """Majorant of rearranged preimages under the Laplacian: the descending
     integral of t * f**(t) / A(t)^2 built from the running average f** of
     the rearrangement of f."""

@@ -249,21 +249,6 @@ def surface_measure(s, sp: SpaceParams):
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
-def surface_measure_slope(s, sp: SpaceParams):
-    """dA/ds = (n-1) * coth(radius), used by the volume-coordinate Laplacian."""
-    rho = radius_for_volume(s, sp)
-    return (sp.n - 1) / np.tanh(rho)
-
-
-def hyperbolic_distance_from_origin(x_norm):
-    """Geodesic distance from the origin in the ball model: ln((1+|x|)/(1-|x|))."""
-    x = np.asarray(x_norm, dtype=float)
-    if np.any(x < 0) or np.any(x >= 1):
-        raise DomainError("ball-model norm must lie in [0, 1)")
-    out = np.log1p(x) - np.log1p(-x)
-    return float(out) if np.isscalar(x_norm) or x.ndim == 0 else out
-
-
 def radial_laplacian_geodesic(u, rho, sp: SpaceParams):
     """Laplacian of a radial function at geodesic radius rho.
 

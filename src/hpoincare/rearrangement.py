@@ -1,8 +1,7 @@
 """Symmetrization toolkit in the volume coordinate.
 
 Distribution function, decreasing rearrangement, running-average maximal
-function, the Hardy inequality check with the conjugate-exponent constant,
-and radialization back onto hyperbolic space.
+function and the Hardy inequality check with the conjugate-exponent constant.
 
 The distribution function mu of |v| is summed in closed form over the
 monotone pieces of v, cut where v or v' changes sign; where they show v
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .numerics import DomainError, QuadratureError, illinois
 from .profiles import FuncSegment, PowerSegment, RadialProfile, zero_tail
 
@@ -400,9 +398,3 @@ def hardy_check(vstar: RadialProfile, p: float) -> HardyReport:
     lhs = maximal_function(vstar).lp_power(p) ** (1.0 / p)
     rhs = p_conj * base
     return HardyReport(lhs, rhs, lhs / rhs, lhs <= rhs * (1 + 1e-10))
-
-
-def radialize(vstar: RadialProfile, sp: geometry.SpaceParams):
-    """vstar composed with the ball-volume map: a radial function of the
-    geodesic radius."""
-    return lambda rho: vstar(geometry.ball_volume(rho, sp))

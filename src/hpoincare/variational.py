@@ -261,13 +261,6 @@ def check_inequality(u: TestFunction, params: PoincareParams) -> InequalityRepor
                             lhs <= rhs * (1 + 1e-10))
 
 
-def corollary_chain(u: TestFunction, params: PoincareParams):
-    """Reports for every intermediate order l = 1, ..., m (m <= 2): the
-    inequality of each order must hold with its own sharp constant."""
-    return [check_inequality(u, PoincareParams(params.n, l, params.p))
-            for l in range(1, params.m + 1)]
-
-
 def rayleigh_quotient(params: PoincareParams, ext: extremizers.ExtremizerParams) -> float:
     """Quotient ||u||_p / ||grad^m u||_p for the near-extremal function of
     order m built from the extremizing profile.
@@ -318,13 +311,16 @@ def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
 
     For m >= 2 the log ratio is capped (the grid supporting the iterated
     inverse Laplacian loses accuracy on extremely wide supports). An empty
-    sequence, or any entry above the cap, raises DomainError before any
-    work is done.
+    sequence, or an entry not finite or above the cap, raises DomainError
+    before any work; so does, once s0 is chosen, one whose 2R = 2 s0 e^L overflows.
     """
     params = PoincareParams(n, m, p)
     log_ratios = tuple(log_ratios)
     if not log_ratios:
         raise DomainError("sharpness_sweep needs at least one log ratio")
+    for lr in log_ratios:
+        if not math.isfinite(lr):
+            raise DomainError(f"log ratio {lr} is not finite")
     if m >= 2 and max(log_ratios) > LOG_RATIO_CAP_HIGH_ORDER:
         raise DomainError(f"log ratio {max(log_ratios)} exceeds the cap "
                           f"{LOG_RATIO_CAP_HIGH_ORDER} for m >= 2")
@@ -332,10 +328,19 @@ def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
         eps = 0.01 if m == 1 else 0.05
     sp = SpaceParams(n)
     s0 = extremizers.select_s0(sp, eps)
+    radii = []
+    for lr in log_ratios:
+        try:
+            radii.append(s0 * math.exp(lr))
+        except OverflowError:  # e^L alone is beyond the float range
+            radii.append(math.inf)
+        if not math.isfinite(2.0 * radii[-1]):
+            raise DomainError(f"log ratio {lr}: the support end 2R = 2 s0 e^L "
+                              f"overflows at s0 = {s0!r}")
     c = params.constant
     pts = []
-    for lr in log_ratios:
-        ext = extremizers.ExtremizerParams(eps, s0, s0 * math.exp(lr), p, sp)
+    for lr, R in zip(log_ratios, radii):
+        ext = extremizers.ExtremizerParams(eps, s0, R, p, sp)
         q = rayleigh_quotient(params, ext)
         pts.append(SweepPoint(lr, q, q / c))
     if len(pts) >= 2:

@@ -81,6 +81,19 @@ class TestSharpnessSweep:
                                 "--log-ratios", "80"], capsys)
         assert code == 2 and "cap" in err
 
+    def test_support_end_overflow_is_usage_error(self, capsys):
+        code, out, err = run_cli(["sharpness-sweep", "--m", "1",
+                                  "--log-ratios", "800"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: log ratio 800.0: the support end")
+
+    def test_quadrature_failure_reported_without_traceback(self, capsys):
+        # the m = 1 gradient norm runs out of panel splits at ln(R/s0) = 500
+        code, out, err = run_cli(["sharpness-sweep", "--m", "1",
+                                  "--log-ratios", "500"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: quadrature did not converge within 4000 panel splits\n"
+
     def test_range_spec(self, capsys):
         code, out, _ = run_cli(["sharpness-sweep", "--m", "1", "--format", "csv",
                                 "--log-ratios", "10:20:2"], capsys)

@@ -7,13 +7,10 @@ import pytest
 
 from hpoincare import geometry
 from hpoincare.extremizers import ExtremizerParams, default_grid
-from hpoincare.geometry import (SpaceParams, ball_volume,
-                                hyperbolic_distance_from_origin,
-                                laplacian_volume_coord,
+from hpoincare.geometry import (SpaceParams, ball_volume, laplacian_volume_coord,
                                 radial_laplacian_geodesic, radius_for_volume,
                                 sinh_power_primitive, sphere_area_of_radius,
-                                surface_measure, surface_measure_slope,
-                                unit_ball_volume)
+                                surface_measure, unit_ball_volume)
 from hpoincare.numerics import DomainError, batched_gauss, integrate
 from hpoincare.profiles import PowerSegment, RadialProfile
 
@@ -193,30 +190,6 @@ class TestSurfaceMeasure:
         r = surface_measure(1e6, sp) / (2 * 1e6)
         assert 1.0 < r < 1.01
 
-    def test_slope_matches_fd(self):
-        sp = SpaceParams(3)
-        s = np.array([0.5, 5.0, 500.0])
-        h = 1e-6 * s
-        fd = (surface_measure(s + h, sp) - surface_measure(s - h, sp)) / (2 * h)
-        assert np.allclose(surface_measure_slope(s, sp), fd, rtol=1e-6)
-
-
-class TestDistance:
-    def test_origin(self):
-        assert hyperbolic_distance_from_origin(0.0) == 0.0
-
-    def test_closed_form_points(self):
-        assert hyperbolic_distance_from_origin((math.e - 1) / (math.e + 1)) == \
-            pytest.approx(1.0, rel=1e-14)
-        assert hyperbolic_distance_from_origin(0.5) == pytest.approx(math.log(3.0),
-                                                                     rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            hyperbolic_distance_from_origin(1.0)
-        with pytest.raises(DomainError):
-            hyperbolic_distance_from_origin(-0.1)
-
 
 class _Quadratic:
     def __call__(self, rho):
@@ -260,11 +233,12 @@ class TestLaplacianVolumeCoord:
         assert laplacian_volume_coord(v, 2.0, SpaceParams(3)) == 0.0
 
     def test_linear_profile(self):
-        # (A^2 v')' = (A^2)' slope = 2 A A' slope
+        # (A^2 v')' = (A^2)' slope = 2 A A' slope, with A' = (n-1) coth(rho)
         sp = SpaceParams(3)
         v = RadialProfile([PowerSegment(0.0, np.inf, [(0.5, 1.0)])])
         s = 4.0
-        want = 2 * surface_measure(s, sp) * surface_measure_slope(s, sp) * 0.5
+        slope = (sp.n - 1) / math.tanh(radius_for_volume(s, sp))
+        want = 2 * surface_measure(s, sp) * slope * 0.5
         assert laplacian_volume_coord(v, s, sp) == pytest.approx(want, rel=1e-10)
 
     def test_agrees_with_geodesic_form(self):

@@ -8,13 +8,13 @@ from hpoincare.cli import _random_profile
 from hpoincare.extremizers import (ExtremizerParams, averaged_extremizer_profile,
                                    extremizer_profile, inverse_laplacian,
                                    inverse_laplacian_iterates)
-from hpoincare.geometry import SpaceParams, ball_volume
+from hpoincare.geometry import SpaceParams
 from hpoincare.numerics import DomainError, GridSpec, QuadratureError, integrate
 from hpoincare.profiles import (PowerSegment, RadialProfile, constant_profile,
                                 indicator_profile, zero_tail)
 from hpoincare.rearrangement import (_segment_cuts, decreasing_rearrangement,
                                      distribution_function, hardy_check,
-                                     maximal_function, radialize)
+                                     maximal_function)
 
 
 def tent_profile():
@@ -342,27 +342,3 @@ class TestHardy:
         vstar = indicator_profile(0.0, 1.0)
         rep = hardy_check(vstar, 2.0)
         assert rep.rhs == pytest.approx(2.0 * vstar.lp_power(2.0) ** 0.5, rel=1e-12)
-
-
-class TestRadialize:
-    def test_composition_with_volume_map(self):
-        sp = SpaceParams(3)
-        vstar = indicator_profile(0.0, 1.0)
-        rad = radialize(vstar, sp)
-        rho_inside = 0.9 * float(np.atleast_1d(
-            ball_volume(np.array([0.3]), sp))[0]) ** 0  # any small rho
-        assert rad(np.array([0.1]))[0] == 1.0
-        # beyond the radius enclosing unit volume the value drops to 0
-        from hpoincare.geometry import radius_for_volume
-        rho_out = radius_for_volume(1.5, sp)
-        assert rad(np.array([rho_out]))[0] == 0.0
-
-    def test_equimeasurable_in_rho(self):
-        # hyperbolic measure of {radialized > t} equals mu(t) by construction
-        sp = SpaceParams(2)
-        prof = indicator_profile(0.0, 2.0, height=3.0)
-        rad = radialize(prof, sp)
-        from hpoincare.geometry import radius_for_volume
-        rho_edge = radius_for_volume(2.0, sp)
-        assert rad(np.array([rho_edge * 0.99]))[0] == 3.0
-        assert rad(np.array([rho_edge * 1.01]))[0] == 0.0

@@ -8,7 +8,7 @@ from hpoincare.extremizers import ExtremizerParams, select_s0
 from hpoincare.geometry import SpaceParams
 from hpoincare.numerics import DomainError, QuadratureError
 from hpoincare.variational import (PoincareParams,
-                                   check_inequality, corollary_chain,
+                                   check_inequality,
                                    grad_norm_geodesic, grad_norm_volume,
                                    gradient_laplacian_constant,
                                    laplacian_norm_geodesic, lp_norm_geodesic,
@@ -249,11 +249,6 @@ class TestInequality:
                         rep = check_inequality(u, params)
                         assert rep.holds and rep.margin > 0
 
-    def test_corollary_chain(self):
-        reps = corollary_chain(RadialTestFunction.random(3, 2.0, seed=3),
-                               PoincareParams(3, 2, 2.0))
-        assert len(reps) == 2 and all(r.holds for r in reps)
-
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("p", [1.2, 2.0, 6.0])
     @pytest.mark.parametrize("m", [1, 2])
@@ -356,6 +351,19 @@ class TestSharpness:
         monkeypatch.setattr(variational, "rayleigh_quotient", work)
         with pytest.raises(DomainError):
             sharpness_sweep(3, m, 2.0, log_ratios=log_ratios)
+
+    @pytest.mark.parametrize("m, log_ratio, match", [
+        (1, 800.0, r"log ratio 800\.0: the support end 2R .* overflows"),
+        (1, 705.0, r"log ratio 705\.0: the support end 2R .* overflows"),
+        (2, math.nan, "log ratio nan is not finite")], ids=["m1-800", "m1-705", "m2-nan"])
+    def test_sweep_names_log_ratio_beyond_floats(self, monkeypatch, m, log_ratio, match):
+        # raised for the second entry before the first one's quotient
+        def work(*args, **kwargs):
+            raise AssertionError("sweep computed a quotient before checking its log ratios")
+
+        monkeypatch.setattr(variational, "rayleigh_quotient", work)
+        with pytest.raises(DomainError, match=match):
+            sharpness_sweep(3, m, 2.0, log_ratios=(10.0, log_ratio))
 
     def test_sweep_default_eps(self):
         assert sharpness_sweep(3, 1, 2.0, log_ratios=(10.0,)).eps == 0.01
