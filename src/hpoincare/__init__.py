@@ -11,9 +11,8 @@ from .numerics import DomainError, GridSpec, QuadratureError
 from .profiles import RadialProfile, constant_profile, indicator_profile, sampled_profile
 from .rearrangement import (decreasing_rearrangement, distribution_function,
                             hardy_check, maximal_function)
-from .extremizers import (ExtremizerParams, averaged_extremizer,
-                          averaged_extremizer_profile, extremizer_lp_mass,
-                          extremizer_profile, inverse_laplacian,
+from .extremizers import (ExtremizerParams, averaged_extremizer_profile,
+                          extremizer_lp_mass, extremizer_profile, inverse_laplacian,
                           inverse_laplacian_iterates, sandwich_decomposition,
                           second_order_majorant, select_s0)
 
@@ -24,8 +23,8 @@ __all__ = [
     "RadialProfile", "constant_profile", "indicator_profile", "sampled_profile",
     "decreasing_rearrangement", "distribution_function", "hardy_check",
     "maximal_function",
-    "ExtremizerParams", "averaged_extremizer", "averaged_extremizer_profile",
-    "extremizer_lp_mass", "extremizer_profile",
+    "ExtremizerParams", "averaged_extremizer_profile", "extremizer_lp_mass",
+    "extremizer_profile",
     "inverse_laplacian", "inverse_laplacian_iterates", "sandwich_decomposition",
     "second_order_majorant", "select_s0",
     "sharp_constant", "gradient_laplacian_constant", "PoincareParams",

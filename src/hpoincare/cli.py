@@ -191,7 +191,7 @@ def _selfcheck_suites():
         f = extremizers.extremizer_profile(params)
         mf = rearrangement.maximal_function(f)
         ss = np.geomspace(params.s0 * 1e-2, params.R * 1e2, 120)
-        explicit = extremizers.averaged_extremizer(params, ss)
+        explicit = extremizers.averaged_extremizer_profile(params)(ss)
         err = float(np.max(np.abs(mf(ss) - explicit) / explicit))
         return err <= 1e-10, f"running average vs closed form rel err {err:.3e}"
 

@@ -64,6 +64,8 @@ class ExtremizerParams:
             raise ValueError("exponent p must exceed 1")
         if not (self.R > self.s0 > 0):
             raise ValueError("need R > s0 > 0")
+        if not math.isfinite(2.0 * self.R):
+            raise ValueError("the support end 2R must be finite")
 
     @property
     def p_conj(self):
@@ -74,7 +76,19 @@ class ExtremizerParams:
                log_ratio: float) -> "ExtremizerParams":
         """Pick s0 for the given eps and set R = s0 * exp(log_ratio)."""
         s0 = select_s0(sp, eps)
-        return cls(eps=eps, s0=s0, R=s0 * math.exp(log_ratio), p=p, sp=sp)
+        return cls(eps=eps, s0=s0, R=support_radius(s0, log_ratio), p=p, sp=sp)
+
+
+def support_radius(s0: float, log_ratio: float) -> float:
+    """R = s0 e^L; DomainError naming L where the support end 2R overflows."""
+    try:
+        R = s0 * math.exp(log_ratio)
+    except OverflowError:  # e^L alone is beyond the float range
+        R = math.inf
+    if 2.0 * R == math.inf:
+        raise numerics.DomainError(f"log ratio {log_ratio}: the support end 2R = 2 s0 e^L "
+                                   f"overflows at s0 = {s0!r}")
+    return R
 
 
 def extremizer_profile(params: ExtremizerParams) -> RadialProfile:
@@ -96,29 +110,8 @@ def extremizer_lp_mass(params: ExtremizerParams) -> float:
     return 1.0 + math.log(params.R / params.s0) + 1.0 / (params.p + 1.0)
 
 
-def averaged_extremizer(params: ExtremizerParams, s):
-    """Explicit running average of the extremizer profile (all four branches)."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0):
-        raise numerics.DomainError("volume coordinate must be positive")
-    s0, R, p = params.s0, params.R, params.p
-    pc = params.p_conj
-    out = np.empty_like(s_arr)
-    m1 = s_arr < s0
-    m2 = (s_arr >= s0) & (s_arr < R)
-    m3 = (s_arr >= R) & (s_arr < 2 * R)
-    m4 = s_arr >= 2 * R
-    out[m1] = s0 ** (-1.0 / p)
-    out[m2] = pc * s_arr[m2] ** (-1.0 / p) - s0 ** (1.0 - 1.0 / p) / ((p - 1.0) * s_arr[m2])
-    out[m3] = (((pc - 1.5) * R ** (1.0 - 1.0 / p) - s0 ** (1.0 - 1.0 / p) / (p - 1.0))
-               / s_arr[m3] + 2.0 * R ** (-1.0 / p) - R ** (-1.0 - 1.0 / p) * s_arr[m3] / 2.0)
-    out[m4] = ((pc * R ** (1.0 - 1.0 / p) - s0 ** (1.0 - 1.0 / p) / (p - 1.0)) / s_arr[m4]
-               + R ** (1.0 - 1.0 / p) / (2.0 * s_arr[m4]))
-    return float(out[0]) if np.asarray(s).ndim == 0 else out
-
-
 def averaged_extremizer_profile(params: ExtremizerParams) -> RadialProfile:
-    """The explicit running average as a piecewise power profile."""
+    """Running average of the extremizer profile in closed form, by segment."""
     s0, R, p = params.s0, params.R, params.p
     pc = params.p_conj
     c_mid = -s0 ** (1.0 - 1.0 / p) / (p - 1.0)

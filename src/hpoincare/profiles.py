@@ -301,15 +301,16 @@ class FuncSegment(Segment):
             if decay <= 1:
                 raise numerics.QuadratureError(
                     f"divergent |v|^p tail on callable segment from {self.s_lo}")
-            T = max(2.0 * self.s_lo, 1.0)
-            probe = 0.0
+            # majorant of the mass beyond T, for T x4 until REL_TOL of its first
+            majorant = lambda T: float(fn(np.array([T]))[0]) * T / (decay - 1.0)
+            hi = max(2.0 * self.s_lo, 1.0)
+            tail = majorant(hi)
+            stop = numerics.REL_TOL * tail
             for _ in range(300):
-                probe = float(fn(np.array([T]))[0]) * T / (decay - 1.0)
-                if probe <= numerics.ABS_TOL or T > 1e280:
+                if tail <= stop or hi > 1e280:
                     break
-                T *= 4.0
-            hi = T
-            tail = probe
+                hi *= 4.0
+                tail = majorant(hi)
         else:
             tail = 0.0
         lo = self.s_lo if self.s_lo > 0 else hi * 1e-9

@@ -73,14 +73,10 @@ def _segment_cuts(seg):
     return sorted(cuts)
 
 
-def _abs_at(seg, a, probe):
-    """|v(a)|; where v(0) is NaN (the 0/0 of a running average), |v(probe)|
-    stands in for it."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        va = abs(float(seg.value(np.array([a]))[0]))
-        if np.isnan(va) and a == 0:
-            va = abs(float(seg.value(np.array([probe]))[0]))
-    return va
+def _abs_at(seg, a):
+    """|v(a)|, inf at a pole at a = 0."""
+    with np.errstate(divide="ignore"):
+        return abs(float(seg.value(np.array([a]))[0]))
 
 
 def _tail_limit(seg):
@@ -103,13 +99,11 @@ def _monotone_pieces(profile):
         edges = [seg.s_lo] + _segment_cuts(seg) + [seg.s_hi]
         for a, b in zip(edges[:-1], edges[1:]):
             if np.isinf(b):
-                probe = max(2 * a, 1.0)
-                va = _abs_at(seg, a, probe * 1e-9)
-                sign = np.sign(float(seg.value(np.array([probe]))[0])) or 1.0
-                pieces.append(_Piece(a, b, seg, sign, va, _tail_limit(seg)))
+                sign = np.sign(float(seg.value(np.array([max(2 * a, 1.0)]))[0])) or 1.0
+                pieces.append(_Piece(a, b, seg, sign, _abs_at(seg, a), _tail_limit(seg)))
                 continue
             mid = 0.5 * (a + b)
-            va = _abs_at(seg, a, min(b * 1e-12, mid))
+            va = _abs_at(seg, a)
             vb = abs(float(seg.value(np.array([b]))[0]))
             sign = np.sign(float(seg.value(np.array([mid]))[0])) or 1.0
             pieces.append(_Piece(a, b, seg, sign, va, vb))
@@ -269,7 +263,8 @@ class _LevelTable:
         """Integral of f* over [0, s] by the layer-cake identity
         int_{|v| > y} |v| + y (s - mu(y)) with y = f*(s), the first term in
         closed form over the monotone pieces of the source."""
-        s = np.asarray(s, dtype=float)
+        # f* is 0 from mu(floor) on, and so adds nothing beyond it
+        s = np.minimum(np.asarray(s, dtype=float), self.breaks[self.dead])
         y = np.maximum(self(s), self.floor)
         mass = np.zeros(s.shape)
         mu = np.zeros(s.shape)
@@ -343,14 +338,17 @@ def decreasing_rearrangement(v: RadialProfile) -> RadialProfile:
 
 
 def maximal_function(vstar: RadialProfile) -> RadialProfile:
-    """Running average (1/s) * integral of vstar over [0, s]."""
+    """Running average (1/s) * integral of vstar over [0, s]; vstar(0) at s = 0."""
     first = vstar.segments[0]
     if isinstance(first, PowerSegment) and any(e <= -1.0 for _, e in first.terms):
         raise QuadratureError("profile is not integrable at 0")
+    with np.errstate(divide="ignore"):  # inf at a pole
+        at_zero = vstar(0.0)
 
     def avg(s):
         s = np.asarray(s, dtype=float)
-        return vstar.running_integral(s) / s
+        return np.divide(vstar.running_integral(s), s, out=np.full(s.shape, at_zero),
+                         where=s > 0)
 
     def avg_d1(s):
         s = np.asarray(s, dtype=float)

@@ -328,15 +328,7 @@ def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
         eps = 0.01 if m == 1 else 0.05
     sp = SpaceParams(n)
     s0 = extremizers.select_s0(sp, eps)
-    radii = []
-    for lr in log_ratios:
-        try:
-            radii.append(s0 * math.exp(lr))
-        except OverflowError:  # e^L alone is beyond the float range
-            radii.append(math.inf)
-        if not math.isfinite(2.0 * radii[-1]):
-            raise DomainError(f"log ratio {lr}: the support end 2R = 2 s0 e^L "
-                              f"overflows at s0 = {s0!r}")
+    radii = [extremizers.support_radius(s0, lr) for lr in log_ratios]
     c = params.constant
     pts = []
     for lr, R in zip(log_ratios, radii):

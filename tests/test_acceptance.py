@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_profile
-from hpoincare.extremizers import (ExtremizerParams, averaged_extremizer,
+from hpoincare.extremizers import (ExtremizerParams, averaged_extremizer_profile,
                                    extremizer_profile,
                                    inverse_laplacian_iterates,
                                    sandwich_decomposition, select_s0)
@@ -137,14 +137,13 @@ def test_criterion_5_running_average_oracle():
                             np.log(params.R * 1e3), 198))
     ss = np.concatenate([ss, [params.s0, params.R]])
     want = np.where(ss > 0, f.running_integral(ss) / ss, 0.0)
-    got = averaged_extremizer(params, ss)
+    got = averaged_extremizer_profile(params)(ss)
     worst = float(np.max(np.abs(got - want) / want))
     # tail mass beyond R stays essentially constant as R grows
     masses = []
     for mult in (1.0, 10.0, 100.0):
         pm = ExtremizerParams(eps=0.01, s0=params.s0, R=params.R * mult,
                               p=2.0, sp=SP3)
-        from hpoincare.extremizers import averaged_extremizer_profile
         g = averaged_extremizer_profile(pm)
         bulk = integrate(lambda s: g(s) ** 2, pm.R, 2 * pm.R)
         coef = g(np.array([3 * pm.R]))[0] * 3 * pm.R

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hpoincare.extremizers import (ExtremizerParams, area_ratio,
-                                   averaged_extremizer,
                                    averaged_extremizer_profile, default_grid,
                                    extremizer_lp_mass, extremizer_profile,
                                    inverse_laplacian,
@@ -14,7 +13,8 @@ from hpoincare.extremizers import (ExtremizerParams, area_ratio,
 from hpoincare import extremizers, geometry
 from hpoincare.geometry import (SpaceParams, ball_volume, laplacian_volume_coord,
                                 radius_for_volume, radius_on_log_grid, surface_measure)
-from hpoincare.numerics import GridSpec, QuadratureError, cumulative_simpson, integrate
+from hpoincare.numerics import (DomainError, GridSpec, QuadratureError, cumulative_simpson,
+                                integrate)
 from hpoincare.profiles import constant_profile, indicator_profile
 from hpoincare.rearrangement import maximal_function
 from hpoincare.variational import lp_norm_volume
@@ -94,6 +94,15 @@ class TestExtremizerProfile:
             ExtremizerParams(eps=0.01, s0=10.0, R=5.0, p=2.0, sp=SP3)
         with pytest.raises(ValueError):
             ExtremizerParams(eps=0.01, s0=1.0, R=5.0, p=1.0, sp=SP3)
+        with pytest.raises(ValueError, match="support end 2R must be finite"):
+            ExtremizerParams(eps=0.01, s0=1.0, R=1e308, p=2.0, sp=SP3)
+
+    @pytest.mark.parametrize("log_ratio", [705.0, 800.0])
+    def test_create_rejects_overflowing_support(self, log_ratio):
+        # 2R overflows at 705; e^L alone at 800
+        with pytest.raises(DomainError, match=rf"log ratio {log_ratio}: the support end 2R .* "
+                                              r"overflows"):
+            ExtremizerParams.create(SP3, 2.0, 0.05, log_ratio)
 
 
 class TestAveragedExtremizer:
@@ -104,23 +113,13 @@ class TestAveragedExtremizer:
         ss = np.exp(rng.uniform(np.log(params.s0 * 1e-2),
                                 np.log(params.R * 1e2), 100))
         want = f.running_integral(ss) / ss
-        assert np.allclose(averaged_extremizer(params, ss), want, rtol=1e-12)
-
-    def test_profile_matches_branches(self):
-        params = make_params()
-        g = averaged_extremizer_profile(params)
-        ss = np.geomspace(params.s0 * 1e-3, params.R * 1e3, 200)
-        assert np.allclose(g(ss), averaged_extremizer(params, ss), rtol=1e-13)
+        assert np.allclose(averaged_extremizer_profile(params)(ss), want, rtol=1e-12)
 
     def test_matches_maximal_function(self):
         params = make_params()
         mf = maximal_function(extremizer_profile(params))
         ss = np.geomspace(params.s0 * 0.1, params.R * 10, 60)
-        assert np.allclose(mf(ss), averaged_extremizer(params, ss), rtol=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(Exception):
-            averaged_extremizer(make_params(), np.array([0.0]))
+        assert np.allclose(mf(ss), averaged_extremizer_profile(params)(ss), rtol=1e-12)
 
 
 class TestInverseLaplacian:
@@ -151,9 +150,10 @@ class TestInverseLaplacian:
         idx = np.unique(np.searchsorted(
             nodes, np.geomspace(params.s0, 20.0 * params.R, 20)).clip(0, len(nodes) - 1))
         s = nodes[idx]
+        avg = averaged_extremizer_profile(params)
 
         def g(r):
-            return r * averaged_extremizer(params, r) / surface_measure(r, SP3) ** 2
+            return r * avg(r) / surface_measure(r, SP3) ** 2
 
         gs = g(s)
         want = gs * integrate(lambda r, i: g(r) / gs[i], s, np.inf,

@@ -287,6 +287,23 @@ class TestMaximalFunction:
         with pytest.raises(Exception):
             maximal_function(prof)
 
+    @pytest.mark.filterwarnings("error")
+    def test_limit_at_zero(self):
+        # the average over [0, s] tends to vstar(0), not 0/0
+        assert maximal_function(indicator_profile(0.0, 1.0))(0.0) == 1.0
+
+
+def jump_power_tail(c):
+    """1.1c on [0, 5), then 2c 5^1.5 s^-1.5, which jumps up at 5: integral 25.5c."""
+    return RadialProfile([PowerSegment(0, 5, [(1.1 * c, 0.0)]),
+                          PowerSegment(5, np.inf, [(2 * c * 5 ** 1.5, -1.5)])], tail_bound=1.5)
+
+
+# ||f**||_p / (p' ||f*||_p) for jump_power_tail, whose f* and f** are closed
+# forms in s (a shifted power, the plateau 1.1, the power), at 30 digits
+JUMP_POWER_TAIL_RATIO = {1.5: 0.83065546902986155, 2.0: 0.84890864716971608,
+                         3.0: 0.89273559569494146}
+
 
 class TestHardy:
     def test_holds_on_random_profiles(self):
@@ -337,6 +354,17 @@ class TestHardy:
         rep = hardy_check(decreasing_rearrangement(prof), 3.0)
         assert rep.lhs == pytest.approx((146.4 / 7) ** (1 / 3), rel=1e-9)
         assert rep.rhs == pytest.approx(1.5 * (72 / 7) ** (1 / 3), rel=1e-9)
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_ratio_independent_of_scale(self, p, c):
+        # f* vanishes beyond mu(sup * 1e-18), so its primitive stops growing
+        # there, and the tail of f** is summed to a floor relative to itself
+        fstar = decreasing_rearrangement(jump_power_tail(c))
+        assert fstar.running_integral(1e30) <= 25.5 * c
+        rep = hardy_check(fstar, p)
+        assert rep.holds
+        assert rep.ratio == pytest.approx(JUMP_POWER_TAIL_RATIO[p], rel=0.0, abs=1e-10)
 
     def test_rhs_is_conjugate_multiple(self):
         vstar = indicator_profile(0.0, 1.0)
