@@ -16,7 +16,7 @@ import numpy as np
 
 from . import extremizers, rearrangement, variational
 from .geometry import SpaceParams, ball_volume, radius_for_volume
-from .numerics import ABS_TOL, MAX_SPLITS, REL_TOL, DomainError, QuadratureError
+from .numerics import MAX_SPLITS, REL_TOL, DomainError, QuadratureError
 from .profiles import PowerSegment, RadialProfile, indicator_profile, zero_tail
 
 EXIT_OK = 0
@@ -226,8 +226,7 @@ def _selfcheck_suites():
 
 
 def cmd_selfcheck(args, out):
-    out.write(f"tolerances: rel_tol={REL_TOL:g} abs_tol={ABS_TOL:g} "
-              f"max_subdivisions={MAX_SPLITS}\n")
+    out.write(f"tolerances: rel_tol={REL_TOL:g} max_subdivisions={MAX_SPLITS}\n")
     failures = 0
     for name, fn in _selfcheck_suites():
         try:

@@ -6,9 +6,9 @@ in one call of the integrand and counts panel splits against
 `MAX_SPLITS`. Wide spans are integrated in t = ln s, and semi-infinite
 integrals have a single tail rule: extend by chunks [B, 8B] until both the
 declared power-law majorant at B and the last chunk's mass are within
-tolerance. Given arrays of ends it integrates k problems at once, finite
-or semi-infinite, with one integrand call f(s, i) per level for all of
-them; a per-row K21/G10 contraction, free of BLAS, makes each result
+`REL_TOL` of the total. Given arrays of ends it integrates k problems at
+once, finite or semi-infinite, with one integrand call f(s, i) per level
+for all of them; a per-row K21/G10 contraction, free of BLAS, makes each result
 bit-identical to its own scalar call on any BLAS build.
 `batched_gauss` is a fixed Gauss-Legendre rule over many intervals; it
 serves only the L^p masses of costly callable segments.
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the one tolerance of `integrate`: relative and absolute error per initial
-# panel, and the panel splits allowed over one call
+# the one tolerance of `integrate`, relative to each problem's magnitude,
+# and the panel splits allowed over one call
 REL_TOL = 1e-10
-ABS_TOL = 1e-14
 MAX_SPLITS = 4000
 
 
@@ -130,8 +129,9 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
     Each problem integrates one piece at a time: [a_i, b_i], or [a_i, B_i]
     and then chunks [B_i, 8 B_i] while the tail test fails. A panel is
     accepted when its error estimate is within
-    max(ABS_TOL, REL_TOL * scale) * max(width fraction, 1e-3), where scale
-    and width refer to the initial panel it came from. The one call of a
+    REL_TOL * magnitude * max(width fraction, 1e-3), where the magnitude is
+    the largest |estimate| of any of its problem's panels so far and the
+    width is that of the initial panel it came from. The one call of a
     level also takes f at the right end of each tail piece starting there,
     for the majorant. The lowest-numbered problem failing at a level raises.
 
@@ -151,9 +151,10 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
         rows += [(lo, hi, log, i) for lo, hi, log in _panels(ai, bi, bks)]
     lo, hi, log, iprob = (np.array(col) for col in zip(*rows))
     org = np.arange(lo.size)  # the initial panel each open panel came from
-    # per initial panel: width, scale (set at its first evaluation), running
-    # total; iprob is its problem, or k once its piece is done
-    width, scale, totals = hi - lo, np.zeros(lo.size), np.zeros(lo.size)
+    # per initial panel: width and running total; iprob is its problem, or k
+    # once its piece is done
+    width, totals = hi - lo, np.zeros(lo.size)
+    magnitude = np.zeros(k)  # largest |estimate| of each problem's panels so far
     live = np.ones(k, dtype=bool)  # problems with open panels
     budget = np.full(k, MAX_SPLITS)
     total, part, err_total = np.zeros(k), np.zeros(k), np.zeros(k)
@@ -161,7 +162,6 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
     growing = np.zeros(k, dtype=int)  # tail chunks in a row that outweighed the one before
     chunks = np.zeros(k, dtype=int)  # tail chunks started
     starting = np.flatnonzero(tail)  # tail problems whose piece starts this level
-    fresh = org  # initial panels evaluated for the first time this level
 
     def fail(i, message, estimate=None, error_bound=None):
         if growing[i]:
@@ -203,15 +203,11 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
         # a panel flagged in log lives in t = ln s and integrates f(e^t) e^t
         kg = half[:, None] * _kronrod_gauss(vals * np.where(log[:, None], s, 1.0))
         est, err = kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
-        if fresh.size:
-            # initial panels come last in the level's panels
-            scale[fresh] = np.maximum(np.abs(est[-fresh.size:]), ABS_TOL)
-        tol = (np.maximum(ABS_TOL, REL_TOL * scale[org])
-               * np.maximum((hi - lo) / width[org], 1e-3))
+        np.maximum.at(magnitude, prob, np.abs(est))
+        tol = REL_TOL * magnitude[prob] * np.maximum((hi - lo) / width[org], 1e-3)
         done = (err <= tol) | ((hi - lo) < 1e-14 * (np.abs(lo) + np.abs(hi) + 1.0))
         np.add.at(totals, org[done], est[done])
         err_total += np.bincount(prob[done], weights=err[done], minlength=k)
-        scale = np.maximum(scale, np.abs(totals))
         split = ~done
         splits = np.bincount(prob[split], minlength=k)
         budget -= splits
@@ -225,7 +221,7 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         log, org = np.concatenate([log, log]), np.concatenate([org, org])
-        starting = fresh = org[:0]
+        starting = org[:0]
         # problems whose piece is done: add it up, then finish or start a chunk
         ended = np.flatnonzero(live & (splits == 0))
         if not ended.size:
@@ -246,7 +242,7 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
             i = stuck[0]
             raise fail(i, "tail truncation did not converge", float(total[i]),
                        float(err_total[i]))
-        t_tol = np.maximum(ABS_TOL, REL_TOL * np.abs(total[ends]))
+        t_tol = REL_TOL * np.abs(total[ends])
         starting = ends[~((remainder[ends] <= t_tol) & (np.abs(part[ends]) <= t_tol))]
         if not starting.size:
             continue
@@ -255,14 +251,12 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
         iprob[retired[iprob]] = k
         live[starting] = True
         chunks[starting] += 1
-        fresh = width.size + np.arange(starting.size)
+        org = np.concatenate([org, width.size + np.arange(starting.size)])
         width = np.concatenate([width, 7.0 * right[starting]])
-        scale = np.concatenate([scale, np.zeros(starting.size)])
         totals = np.concatenate([totals, np.zeros(starting.size)])
         iprob = np.concatenate([iprob, starting])
         lo, hi = np.concatenate([lo, right[starting]]), np.concatenate([hi, 8.0 * right[starting]])
         log = np.concatenate([log, np.zeros(starting.size, dtype=bool)])
-        org = np.concatenate([org, fresh])
     return total
 
 
@@ -272,14 +266,17 @@ def integrate(f, a, b, breakpoints=(), tail_decay: float | None = None):
     [a, b] is cut at the breakpoints; pieces spanning more than a factor 20
     are integrated in t = ln s. Every panel still open at a bisection level
     is evaluated in one call of f, so f must be vectorized: it maps a 1-d
-    array of abscissae to an array of the same shape. Each initial panel is
-    integrated to max(ABS_TOL, REL_TOL * its magnitude), and MAX_SPLITS
-    bounds the number of panel splits over the whole call.
+    array of abscissae to an array of the same shape. The integral is
+    taken to REL_TOL of its magnitude, the largest |estimate| of any of its
+    panels, so integrate(c f) is c integrate(f) up to rounding at every
+    scale c; MAX_SPLITS bounds the number of panel splits over the whole
+    call.
 
     b may be np.inf when |f(s)| <= C s^(-tail_decay) (tail_decay > 1)
     beyond the truncation point B: the integral over [a, B] is extended by
     chunks [B, 8B] until both the majorant |f(B)| B / (tail_decay - 1) of
-    the remainder and the mass of the last chunk are within tolerance.
+    the remainder and the mass of the last chunk are within REL_TOL of the
+    total.
 
     Batched form: when a or b is an array, they broadcast to shape (k,) and
     the k integrals over [a_i, b_i], finite or not, are returned as an

@@ -338,7 +338,8 @@ def decreasing_rearrangement(v: RadialProfile) -> RadialProfile:
 
 
 def maximal_function(vstar: RadialProfile) -> RadialProfile:
-    """Running average (1/s) * integral of vstar over [0, s]; vstar(0) at s = 0."""
+    """Running average (1/s) * integral of vstar over [0, s]; at s = 0 its
+    limits, vstar(0) and the slope vstar'(0) / 2."""
     first = vstar.segments[0]
     if isinstance(first, PowerSegment) and any(e <= -1.0 for _, e in first.terms):
         raise QuadratureError("profile is not integrable at 0")
@@ -352,7 +353,9 @@ def maximal_function(vstar: RadialProfile) -> RadialProfile:
 
     def avg_d1(s):
         s = np.asarray(s, dtype=float)
-        return (vstar(s) - avg(s)) / s
+        # the limit at s = 0 is vstar'(0) / 2, evaluated only where asked for
+        limit = 0.5 * vstar.derivative(0.0) if not s.all() else 0.0
+        return np.divide(vstar(s) - avg(s), s, out=np.full(s.shape, limit), where=s > 0)
 
     segs = []
     prev = 0.0

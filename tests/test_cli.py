@@ -9,6 +9,7 @@ import pytest
 import hpoincare
 from hpoincare import geometry
 from hpoincare.cli import main
+from hpoincare.numerics import MAX_SPLITS, REL_TOL
 
 
 def run_cli(argv, capsys):
@@ -115,7 +116,9 @@ class TestSelfcheck:
         code, out, _ = run_cli(["selfcheck"], capsys)
         assert code == 0
         assert "all suites passed" in out
-        assert "rel_tol" in out  # tolerances reported
+        # the quadrature's two settings, and no other tolerance
+        assert out.splitlines()[0] == (f"tolerances: rel_tol={REL_TOL:g} "
+                                       f"max_subdivisions={MAX_SPLITS}")
 
     def test_fault_injection_fails_volume_suite(self, capsys, monkeypatch):
         # a unit-ball volume 1% off must fail the closed-form volume suite

@@ -15,8 +15,9 @@ from hpoincare.geometry import (SpaceParams, ball_volume, laplacian_volume_coord
                                 radius_for_volume, radius_on_log_grid, surface_measure)
 from hpoincare.numerics import (DomainError, GridSpec, QuadratureError, cumulative_simpson,
                                 integrate)
-from hpoincare.profiles import constant_profile, indicator_profile
-from hpoincare.rearrangement import maximal_function
+from hpoincare.profiles import (PowerSegment, RadialProfile, constant_profile,
+                                indicator_profile, zero_tail)
+from hpoincare.rearrangement import decreasing_rearrangement, maximal_function
 from hpoincare.variational import lp_norm_volume
 
 SP3 = SpaceParams(3)
@@ -255,6 +256,27 @@ class TestSecondOrderMajorant:
         s = np.array([0.3, 2.0])
         want = -s * mf(s) / surface_measure(s, SP3) ** 2
         assert np.allclose(h.derivative(s), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    @pytest.mark.parametrize("p", [1.2, 2.0])
+    @pytest.mark.parametrize("log_ratio", [20.0, 40.0])
+    def test_equals_first_iterate(self, n, p, log_ratio):
+        # Talenti: for a source >= 0 that never rises, the majorant is the
+        # inverse Laplacian itself; what is left is the grid's inner-pass error
+        params = ExtremizerParams.create(SpaceParams(n), p, 0.05, log_ratio)
+        s0, R = params.s0, params.R
+        s = np.array([10.0 * s0, R / 10.0, R / 2.0, 1.9 * R, 3.0 * R, 12.5 * R])
+        h = second_order_majorant(extremizer_profile(params), params.sp)
+        it = inverse_laplacian_iterates(params, 1)[0]
+        assert h(s) == pytest.approx(it(s), rel=1e-5, abs=0.0)
+
+    def test_bounds_rearranged_inverse_of_signed_source(self):
+        # |u|* <= majorant for the source 1 on [0, 1), -2 on [1, 2)
+        f = RadialProfile([PowerSegment(0.0, 1.0, [(1.0, 0.0)]),
+                           PowerSegment(1.0, 2.0, [(-2.0, 0.0)]), zero_tail(2.0)])
+        ustar = decreasing_rearrangement(inverse_laplacian(f, SP3, GridSpec(1e-6, 2e3, 4096)))
+        s = np.geomspace(1e-3, 1e2, 60)
+        assert np.all(ustar(s) <= second_order_majorant(f, SP3)(s))
 
 
 def fine_nodes(grid):

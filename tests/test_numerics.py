@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hpoincare.numerics import (GridSpec, QuadratureError, batched_gauss, illinois,
+from hpoincare.geometry import SpaceParams, surface_measure
+from hpoincare.numerics import (REL_TOL, GridSpec, QuadratureError, batched_gauss, illinois,
                                 integrate)
 
 
@@ -49,6 +50,23 @@ class TestIntegrate:
         # where the majorant alone would stop; the integral over [1, inf) is 1/3
         val = integrate(lambda s: (s - 2.0) ** 2 / s ** 4, 1.0, np.inf, tail_decay=2.0)
         assert val == pytest.approx(1.0 / 3.0, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [1e13, 1e14, 1e22])
+    def test_whole_tail_of_small_integral(self, s):
+        # A(t) = 2t + O(ln t) at n = 3, so the tail integral of A^-2 is
+        # 1/(4s) to O(ln s / s): at most 2.5e-14, so the tail may stop only
+        # relative to it
+        val = integrate(lambda t: surface_measure(t, SpaceParams(3)) ** -2.0, s, np.inf,
+                        tail_decay=2.0)
+        assert val == pytest.approx(0.25 / s, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("b", [5.0, np.inf])
+    @pytest.mark.parametrize("c", [1e-30, 1e-20, 1e-14, 1e-8, 1.0, 1e8, 1e30])
+    def test_scale_invariant(self, c, b):
+        f = lambda s: np.exp(-s) * (1.0 + s)
+        want = c * integrate(f, 0.0, b, tail_decay=2.0)
+        assert integrate(lambda s: c * f(s), 0.0, b, tail_decay=2.0) == pytest.approx(
+            want, rel=REL_TOL, abs=0.0)
 
     def test_growing_tail_named(self):
         # the chunk masses of s on [1, inf) grow by 64 per chunk until the

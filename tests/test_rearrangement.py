@@ -292,6 +292,16 @@ class TestMaximalFunction:
         # the average over [0, s] tends to vstar(0), not 0/0
         assert maximal_function(indicator_profile(0.0, 1.0))(0.0) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_derivative_limit_at_zero(self):
+        # (vstar(s) - f**(s)) / s tends to vstar'(0) / 2, not 0/0
+        assert maximal_function(indicator_profile(0.0, 1.0)).derivative(0.0) == 0.0
+        ramp = RadialProfile([PowerSegment(0, 1, [(2.0, 0.0), (-1.0, 1.0)]),
+                              PowerSegment(1, 2, [(1.0, 0.0)]), zero_tail(2.0)])
+        mf = maximal_function(ramp)
+        assert mf.derivative(0.0) == -0.5
+        assert mf.derivative(np.array([0.0, 1e-6])) == pytest.approx([-0.5, -0.5], rel=1e-9)
+
 
 def jump_power_tail(c):
     """1.1c on [0, 5), then 2c 5^1.5 s^-1.5, which jumps up at 5: integral 25.5c."""

@@ -7,7 +7,7 @@ from hpoincare import variational
 from hpoincare.extremizers import ExtremizerParams, select_s0
 from hpoincare.geometry import SpaceParams
 from hpoincare.numerics import DomainError, QuadratureError
-from hpoincare.variational import (PoincareParams,
+from hpoincare.variational import (ExpRadial, PoincareParams,
                                    check_inequality,
                                    grad_norm_geodesic, grad_norm_volume,
                                    gradient_laplacian_constant,
@@ -146,6 +146,21 @@ class TestNormsGeodesic:
         got = lp_norm_geodesic(PureExp(), sp, 2.0) ** 2
         assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("p", [1.2, 2.0, 20.0])
+    @pytest.mark.parametrize("q", [5.0, 50.0, 215.0, 1000.0, 2000.0])
+    def test_exponential_beta_oracle(self, n, p, q):
+        # u = e^(-alpha rho) with q = p alpha - k, k = n - 1: x = e^(-2 rho)
+        # turns |S^k| e^(-p alpha rho) sinh^k rho into a Beta integral,
+        # ||u||_p^p = |S^k| B(q/2, k + 1) / 2^(k+1); at large q the mass lies
+        # near the origin, far below the first panel's magnitude elsewhere
+        k = n - 1
+        log_sphere = math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)
+        want = (log_sphere + math.lgamma(0.5 * q) + math.lgamma(k + 1.0)
+                - math.lgamma(0.5 * q + k + 1.0) - (k + 1) * math.log(2.0))
+        got = math.log(lp_norm_geodesic(ExpRadial([1.0], (q + k) / p), SpaceParams(n), p) ** p)
+        assert abs(got - want) <= 1e-10
+
     def test_grad_norm_positive(self):
         u = RadialTestFunction.random(3, 2.0, seed=1)
         assert grad_norm_geodesic(u, SpaceParams(3), 2.0) > 0
@@ -259,6 +274,16 @@ class TestInequality:
         dnorm = (grad_norm_geodesic if m == 1 else laplacian_norm_geodesic)(u, sp, p)
         assert rep.lhs == lp_norm_geodesic(u, sp, p)
         assert rep.rhs == sharp_constant(n, m, p) * dnorm
+
+    @pytest.mark.parametrize("d", [1e-2, 1e-3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_holds_near_integrability_threshold(self, d, m):
+        # alpha = 1/20 + d at n = 2, p = 20: the gradient's L^p density is
+        # below 1e-14 out to rho = 40 and peaks near rho = 1/d, so its tail
+        # may stop only relative to the mass found so far
+        a = 1.0 / 20.0 + d
+        rep = check_inequality(RadialTestFunction([1.0, a], a), PoincareParams(2, m, 20.0))
+        assert rep.holds and rep.ratio < 1.0
 
     def test_m_cap(self):
         with pytest.raises(DomainError):
