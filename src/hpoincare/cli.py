@@ -112,7 +112,7 @@ def cmd_sharpness_sweep(args, out):
                                       log_ratios=log_ratios)
     rows = []
     for pt in res.points:
-        rows.append((res.s0 * float(np.exp(pt.log_ratio)), pt.log_ratio,
+        rows.append((extremizers.support_radius(res.s0, pt.log_ratio), pt.log_ratio,
                      pt.quotient, pt.fraction_of_sharp))
     rows.append(("extrapolated", "", res.extrapolated,
                  res.extrapolated / res.constant))

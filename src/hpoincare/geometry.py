@@ -8,6 +8,7 @@ the geodesic and the volume coordinate.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -50,31 +51,26 @@ def _binom_terms(n: int):
     return [(nm1 - 2 * k, (-1) ** k * math.comb(nm1, k)) for k in range(n)]
 
 
-# per n, the coefficients b_k of the small-radius series, highest k first
-_SERIES_CACHE: dict[int, list[float]] = {}
-
-
+@functools.cache
 def _series_coefs(n: int) -> list[float]:
     """Coefficients b_k of the integral of sinh^(n-1) over [0, rho] as
-    rho^n sum_k b_k rho^(2k).
+    rho^n sum_k b_k rho^(2k), highest k first.
 
     Expanding the exponentials of `_binom_terms` gives each b_k as an exact
     rational, sum_i c_i a_i^(n-1+2k) / (2^(n-1) (n+2k)!), rounded once. All
     b_k are positive; the sum stops where the next term at rho = 1 is below
     1e-17 of it (9, 11, 17 and 23 terms for n = 2, 3, 8 and 16).
     """
-    if n not in _SERIES_CACHE:
-        terms = _binom_terms(n)
-        coefs, total = [], 0.0
-        while True:
-            j = n - 1 + 2 * len(coefs)
-            b = sum(c * a ** j for a, c in terms) / (2 ** (n - 1) * math.factorial(j + 1))
-            if b < 1e-17 * total:
-                break
-            coefs.append(b)
-            total += b
-        _SERIES_CACHE[n] = coefs[::-1]
-    return _SERIES_CACHE[n]
+    terms = _binom_terms(n)
+    coefs, total = [], 0.0
+    while True:
+        j = n - 1 + 2 * len(coefs)
+        b = sum(c * a ** j for a, c in terms) / (2 ** (n - 1) * math.factorial(j + 1))
+        if b < 1e-17 * total:
+            break
+        coefs.append(b)
+        total += b
+    return coefs[::-1]
 
 
 def sinh_power_primitive(rho, n: int):

@@ -21,6 +21,7 @@ like the package, needs numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,13 +62,9 @@ class GridSpec:
             raise ValueError("need at least three grid points")
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss(order):
-    if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GAUSS_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 # 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21): nonnegative
@@ -122,78 +119,44 @@ def _kronrod_gauss(fj):
     return np.einsum("ij,kj->ik", fj, _W21)
 
 
-def _solve(call, a, b, breakpoints, tail_decay, batched):
-    """The integrals of `integrate` for the problems [a_i, b_i], by one
-    G10/K21 bisection over all of them.
+def _bisect(call, lo, hi, log, iprob, probes, owner, total, magnitude, budget, err_total,
+            fail):
+    """G10/K21 bisection of the initial panels [lo, hi] (in t = ln s where
+    `log`) of the problems `iprob`, with all open panels evaluated in one
+    call of f per level. f at the points `probes` of the problems `owner`
+    rides along in the first call. Returns each problem's mass over its
+    panels and f at the probes.
 
-    Each problem integrates one piece at a time: [a_i, b_i], or [a_i, B_i]
-    and then chunks [B_i, 8 B_i] while the tail test fails. A panel is
-    accepted when its error estimate is within
+    A panel is accepted when its error estimate is within
     REL_TOL * magnitude * max(width fraction, 1e-3), where the magnitude is
     the largest |estimate| of any of its problem's panels so far and the
-    width is that of the initial panel it came from. The one call of a
-    level also takes f at the right end of each tail piece starting there,
-    for the majorant. The lowest-numbered problem failing at a level raises.
-
-    A scalar call is the batch of one, and `batched` only prefixes error
-    messages with `problem i:`. `_kronrod_gauss` contracts each panel on its
-    own, so no problem's result depends on the panels of the others.
+    width is that of the initial panel it came from. The per-problem
+    `magnitude`, `budget` (panel splits left) and `err_total` (error bound
+    of the accepted panels) are updated in place; `total`, the mass of each
+    problem's earlier pieces, enters only the estimate of a budget failure.
+    The lowest-numbered problem failing at a level raises `fail(i, ...)`.
     """
-    k = a.size
-    tail = np.isinf(b)
-    bks = [float(c) for c in breakpoints if np.isfinite(c)]
-    # right end of each problem's current piece: b, or the truncation point
-    right = b.copy()
-    rows = []
-    for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
-        if math.isinf(bi):
-            right[i] = bi = max([2.0 * abs(ai), 1.0, ai + 1.0] + [2.0 * c for c in bks if c > ai])
-        rows += [(lo, hi, log, i) for lo, hi, log in _panels(ai, bi, bks)]
-    lo, hi, log, iprob = (np.array(col) for col in zip(*rows))
+    k = total.size
     org = np.arange(lo.size)  # the initial panel each open panel came from
-    # per initial panel: width and running total; iprob is its problem, or k
-    # once its piece is done
-    width, totals = hi - lo, np.zeros(lo.size)
-    magnitude = np.zeros(k)  # largest |estimate| of each problem's panels so far
-    live = np.ones(k, dtype=bool)  # problems with open panels
-    budget = np.full(k, MAX_SPLITS)
-    total, part, err_total = np.zeros(k), np.zeros(k), np.zeros(k)
-    remainder = np.zeros(k)  # majorant |f(B)| B / (tail_decay - 1) of the tail beyond B
-    growing = np.zeros(k, dtype=int)  # tail chunks in a row that outweighed the one before
-    chunks = np.zeros(k, dtype=int)  # tail chunks started
-    starting = np.flatnonzero(tail)  # tail problems whose piece starts this level
-
-    def fail(i, message, estimate=None, error_bound=None):
-        if growing[i]:
-            message = (f"integrand does not decay like s^-{tail_decay:g}: the tail chunk "
-                       f"masses grew {growing[i]} times in a row, to {abs(part[i]):.3g} on "
-                       f"[{right[i] / 8.0:g}, {right[i]:g}] ({message})")
-        return QuadratureError(f"problem {i}: {message}" if batched else message,
-                               estimate=estimate, error_bound=error_bound)
-
+    width, totals = hi - lo, np.zeros(lo.size)  # per initial panel
+    fprobe = probes  # f at the probes, once the first call has taken it
     while lo.size:
         prob = iprob[org]
         half = 0.5 * (hi - lo)
         x = (0.5 * (lo + hi))[:, None] + half[:, None] * _X21
         s = x.copy()
         s[log] = np.exp(x[log])
-        pts = s.ravel()
-        owner = np.repeat(prob, 21)
-        if starting.size:
-            probes = right[starting] * np.where(chunks[starting] > 0, 8.0, 1.0)
-            pts = np.concatenate([pts, probes])
-            owner = np.concatenate([owner, starting])
-        vals = np.asarray(call(pts, owner), dtype=float)
+        pts = np.concatenate([s.ravel(), probes])
+        vals = np.asarray(call(pts, np.concatenate([np.repeat(prob, 21), owner])), dtype=float)
         if vals.shape != pts.shape:
             raise ValueError(
                 "the integrand must be vectorized: f(s), and f(s, i) in the batched form "
                 "where i holds the problem index of each abscissa, must map a 1-d array "
                 f"of abscissae to an array of the same shape; got shape {vals.shape} "
                 f"for {pts.shape}")
-        if starting.size:
-            remainder[starting] = np.abs(vals[s.size:]) * probes / (tail_decay - 1.0)
-            vals = vals[:s.size]
-        vals = vals.reshape(s.shape)
+        if probes.size:
+            fprobe, probes, owner = vals[s.size:], probes[:0], owner[:0]
+        vals = vals[:s.size].reshape(s.shape)
         bad = ~np.isfinite(vals)
         if bad.any():
             i = prob[bad.any(axis=1)].min()
@@ -209,8 +172,7 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
         np.add.at(totals, org[done], est[done])
         err_total += np.bincount(prob[done], weights=err[done], minlength=k)
         split = ~done
-        splits = np.bincount(prob[split], minlength=k)
-        budget -= splits
+        budget -= np.bincount(prob[split], minlength=k)
         if (budget <= 0).any():
             i = np.flatnonzero(budget <= 0)[0]
             mine = split & (prob == i)
@@ -221,42 +183,69 @@ def _solve(call, a, b, breakpoints, tail_decay, batched):
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         log, org = np.concatenate([log, log]), np.concatenate([org, org])
-        starting = org[:0]
-        # problems whose piece is done: add it up, then finish or start a chunk
-        ended = np.flatnonzero(live & (splits == 0))
-        if not ended.size:
-            continue
-        live[ended] = False
-        ends = ended[tail[ended]]
-        prev = part[ends]
-        part[ended] = np.bincount(iprob, weights=totals, minlength=k + 1)[ended]
-        total[ended] += part[ended]
-        if not ends.size:
-            continue
-        chunk = chunks[ends] > 0
-        growing[ends] = np.where(chunk & (np.abs(part[ends]) > np.abs(prev)),
-                                 growing[ends] + 1, 0)
-        right[ends] *= np.where(chunk, 8.0, 1.0)
-        stuck = ends[~np.isfinite(total[ends]) | (chunks[ends] >= 300)]
+    return np.bincount(iprob, weights=totals, minlength=k), fprobe
+
+
+def _solve(call, a, b, breakpoints, tail_decay, batched):
+    """The integrals of `integrate` for the problems [a_i, b_i].
+
+    One `_bisect` integrates each problem's piece: [a_i, b_i], or [a_i, B_i]
+    with f at B_i. Then each round extends the problems whose tail test
+    failed by a chunk [B_i, 8 B_i], with f at 8 B_i, by one `_bisect` over
+    those chunks, until the majorant |f(B_i)| B_i / (tail_decay - 1) of the
+    remainder and the last chunk's mass are both within REL_TOL of the total.
+
+    A scalar call is the batch of one, and `batched` only prefixes error
+    messages with `problem i:`. `_kronrod_gauss` contracts each panel on its
+    own, so no problem's result depends on the panels of the others.
+    """
+    k = a.size
+    bks = [float(c) for c in breakpoints if np.isfinite(c)]
+    # right end of each problem's last piece: b, or the truncation point
+    right = b.copy()
+    rows = []
+    for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
+        if math.isinf(bi):
+            right[i] = bi = max([2.0 * abs(ai), 1.0, ai + 1.0] + [2.0 * c for c in bks if c > ai])
+        rows += [(lo, hi, log, i) for lo, hi, log in _panels(ai, bi, bks)]
+    magnitude = np.zeros(k)  # largest |estimate| of each problem's panels so far
+    budget = np.full(k, MAX_SPLITS)
+    total, err_total = np.zeros(k), np.zeros(k)
+    growing = np.zeros(k, dtype=int)  # tail chunks in a row that outweighed the one before
+
+    def fail(i, message, estimate=None, error_bound=None):
+        if growing[i]:
+            message = (f"integrand does not decay like s^-{tail_decay:g}: the tail chunk "
+                       f"masses grew {growing[i]} times in a row, to {abs(part[i]):.3g} on "
+                       f"[{right[i] / 8.0:g}, {right[i]:g}] ({message})")
+        return QuadratureError(f"problem {i}: {message}" if batched else message,
+                               estimate=estimate, error_bound=error_bound)
+
+    ends = np.flatnonzero(np.isinf(b))  # the tail problems still extending
+    part, fprobe = _bisect(call, *(np.array(col) for col in zip(*rows)), right[ends], ends,
+                           total, magnitude, budget, err_total, fail)
+    total += part
+    chunks = 0  # tail chunks each problem in `ends` has run
+    while ends.size:
+        # majorant of the tail beyond each right end, from f there
+        remainder = np.abs(fprobe) * right[ends] / (tail_decay - 1.0)
+        stuck = ends[~np.isfinite(total[ends]) | (chunks >= 300)]
         if stuck.size:
             i = stuck[0]
             raise fail(i, "tail truncation did not converge", float(total[i]),
                        float(err_total[i]))
         t_tol = REL_TOL * np.abs(total[ends])
-        starting = ends[~((remainder[ends] <= t_tol) & (np.abs(part[ends]) <= t_tol))]
-        if not starting.size:
-            continue
-        retired = np.zeros(k + 1, dtype=bool)
-        retired[starting] = True
-        iprob[retired[iprob]] = k
-        live[starting] = True
-        chunks[starting] += 1
-        org = np.concatenate([org, width.size + np.arange(starting.size)])
-        width = np.concatenate([width, 7.0 * right[starting]])
-        totals = np.concatenate([totals, np.zeros(starting.size)])
-        iprob = np.concatenate([iprob, starting])
-        lo, hi = np.concatenate([lo, right[starting]]), np.concatenate([hi, 8.0 * right[starting]])
-        log = np.concatenate([log, np.zeros(starting.size, dtype=bool)])
+        ends = ends[~((remainder <= t_tol) & (np.abs(part[ends]) <= t_tol))]
+        if not ends.size:
+            break
+        chunks += 1
+        hi = 8.0 * right[ends]
+        piece, fprobe = _bisect(call, right[ends], hi, np.zeros(ends.size, dtype=bool), ends,
+                                hi, ends, total, magnitude, budget, err_total, fail)
+        growing[ends] = np.where(np.abs(piece[ends]) > np.abs(part[ends]), growing[ends] + 1, 0)
+        right[ends] = hi
+        part[ends] = piece[ends]
+        total[ends] += part[ends]
     return total
 
 

@@ -271,9 +271,9 @@ class SampledSegment(Segment):
 
 
 class FuncSegment(Segment):
-    """Lazily evaluated segment from a vectorized callable."""
+    """Lazily evaluated segment from a vectorized callable and its derivative."""
 
-    def __init__(self, s_lo, s_hi, fn, d1=None):
+    def __init__(self, s_lo, s_hi, fn, d1):
         super().__init__(s_lo, s_hi)
         self.fn = fn
         self._d1 = d1
@@ -282,16 +282,7 @@ class FuncSegment(Segment):
         return np.asarray(self.fn(np.asarray(s, dtype=float)), dtype=float)
 
     def deriv(self, s):
-        if self._d1 is not None:
-            return np.asarray(self._d1(np.asarray(s, dtype=float)), dtype=float)
-        s = np.asarray(s, dtype=float)
-        h = 1e-6 * np.maximum(s, 1e-12)
-        return (self.value(s + h) - self.value(s - h)) / (2 * h)
-
-    def deriv2(self, s):
-        s = np.asarray(s, dtype=float)
-        h = 1e-4 * np.maximum(s, 1e-12)
-        return (self.value(s + h) - 2 * self.value(s) + self.value(s - h)) / h ** 2
+        return np.asarray(self._d1(np.asarray(s, dtype=float)), dtype=float)
 
     def lp_mass(self, p, tail_bound=None):
         fn = lambda s: np.abs(self.value(s)) ** p

@@ -259,6 +259,23 @@ class _LevelTable:
             out[ramp] = np.exp(x)
         return out
 
+    def derivative(self, t):
+        """Right derivative of f* at y = f*(t): 0 where a piece of |v| is
+        constant at y (a plateau) and where y = 0; elsewhere
+        1 / mu'(y) = -1 / sum 1/|v'(x_i)|, over the pieces whose |v| takes
+        the levels just below y, at their x_i with |v(x_i)| = y. A plateau
+        of f* only as wide as the rounding noise of mu reads the ramp."""
+        y = self(t)
+        pieces = _monotone_pieces(self.source)
+        rate = np.zeros(y.shape)  # -mu'(y)
+        with np.errstate(divide="ignore"):  # a flat point of v adds nothing
+            for piece in pieces:
+                cross = (min(piece.va, piece.vb) < y) & (y <= max(piece.va, piece.vb))
+                if np.any(cross):
+                    rate[cross] += 1.0 / np.abs(piece.seg.deriv(_invert_piece(piece, y[cross])))
+            flat = np.isin(y, [p.va for p in pieces if p.va == p.vb]) | (y == 0.0)
+            return np.where(flat, 0.0, -1.0 / rate)
+
     def integral(self, s):
         """Integral of f* over [0, s] by the layer-cake identity
         int_{|v| > y} |v| + y (s - mu(y)) with y = f*(s), the first term in
@@ -280,10 +297,10 @@ class _LevelTable:
 
 class _RearrangedSegment(FuncSegment):
     """A piece of the decreasing rearrangement: f* from the level table of
-    its source, with an exact primitive."""
+    its source, with its exact derivative and primitive."""
 
     def __init__(self, s_lo, s_hi, table: _LevelTable):
-        super().__init__(s_lo, s_hi, table)
+        super().__init__(s_lo, s_hi, table, table.derivative)
         self._base = None  # integral of f* over [0, s_lo]
 
     def primitive_from_lo(self, s):
@@ -366,7 +383,7 @@ def maximal_function(vstar: RadialProfile) -> RadialProfile:
         segs.append(FuncSegment(prev, hi, avg, d1=avg_d1))
         prev = hi
     support = vstar.support_end()
-    if support is not None and support <= prev:
+    if support is not None:
         mass = float(vstar.running_integral(np.array([support]))[0])
         segs.append(PowerSegment(prev, np.inf, [(mass, -1.0)] if mass != 0 else []))
         tail_bound = 1.0

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import hpoincare
-from hpoincare import geometry
+from hpoincare import extremizers, geometry
 from hpoincare.cli import main
 from hpoincare.numerics import MAX_SPLITS, REL_TOL
 
@@ -94,6 +95,15 @@ class TestSharpnessSweep:
                                   "--log-ratios", "500"], capsys)
         assert code == 1 and out == ""
         assert err == "error: quadrature did not converge within 4000 panel splits\n"
+
+    def test_radius_is_the_one_the_sweep_used(self, capsys):
+        # R = s0 e^L as support_radius builds it; numpy's exp differs by
+        # 1 ulp at L = 25
+        code, out, _ = run_cli(["sharpness-sweep", "--n", "3", "--m", "1", "--p", "2",
+                                "--log-ratios", "25", "--format", "json"], capsys)
+        assert code == 0
+        s0 = extremizers.select_s0(geometry.SpaceParams(3), 0.01)
+        assert json.loads(out)["rows"][0]["R"] == s0 * math.exp(25.0)
 
     def test_range_spec(self, capsys):
         code, out, _ = run_cli(["sharpness-sweep", "--m", "1", "--format", "csv",

@@ -43,7 +43,7 @@ GOLDEN = {
     "sharpness_sweep_m1": (
         "sharpness-sweep --n 3 --m 1 --p 2 --log-ratios 25,50,100 --format csv",
         "R,ln(R/s0),quotient,quotient_over_C\n"
-        "1.40554963857485391e+14,2.50000000000000000e+01,8.75486463889944555e-01,8.75486463889944555e-01\n"
+        "1.40554963857485422e+14,2.50000000000000000e+01,8.75486463889944555e-01,8.75486463889944555e-01\n"
         "1.01206460239281452e+25,5.00000000000000000e+01,9.29964038854974695e-01,9.29964038854974695e-01\n"
         "5.24725693931330298e+46,1.00000000000000000e+02,9.62618424182815291e-01,9.62618424182815291e-01\n"
         "extrapolated,,9.95272809510655887e-01,9.95272809510655887e-01\n"),
@@ -52,7 +52,7 @@ GOLDEN = {
         "R,ln(R/s0),quotient,quotient_over_C\n"
         "5.91552416850603092e+06,1.00000000000000000e+01,9.58781869599261038e-01,8.52250550754898750e-01\n"
         "1.30298090755950531e+11,2.00000000000000000e+01,1.04043343638822416e+00,9.24829721233976998e-01\n"
-        "6.32160986631333233e+19,4.00000000000000000e+01,1.08302877801798481e+00,9.62692247127097556e-01\n"
+        "6.32160986631333315e+19,4.00000000000000000e+01,1.08302877801798481e+00,9.62692247127097556e-01\n"
         "extrapolated,,1.12562411964774545e+00,1.00055477302021822e+00\n"),
     "hardy_demo_p15": (
         "hardy-demo --p 1.5 --count 4 --seed 3 --format csv",

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hpoincare.geometry import SpaceParams, surface_measure
-from hpoincare.numerics import (REL_TOL, GridSpec, QuadratureError, batched_gauss, illinois,
-                                integrate)
+from hpoincare.numerics import (MAX_SPLITS, REL_TOL, GridSpec, QuadratureError, batched_gauss,
+                                illinois, integrate)
 
 
 class TestIntegrate:
@@ -97,6 +97,21 @@ class TestIntegrate:
             integrate(bumpy, 0.0, 1.0)
         assert exc.value.estimate is not None
         assert exc.value.error_bound is not None
+
+    def test_budget_failure_in_tail_carries_earlier_pieces(self):
+        # sin(s)/s^2 on [1, inf) runs out of splits in a tail chunk; the
+        # estimate still holds [1, B] and the chunks before it, and reads
+        # the integral sin 1 - Ci 1, alone and as problem 1 beside two s^-2
+        want = 0.5040670619069284
+        budget = f"quadrature did not converge within {MAX_SPLITS} panel splits"
+        with pytest.raises(QuadratureError, match=f"^{budget}") as exc:
+            integrate(lambda s: np.sin(s) / s ** 2, 1.0, np.inf, tail_decay=2.0)
+        assert exc.value.estimate == pytest.approx(want, rel=0.0, abs=1e-8)
+        assert exc.value.error_bound <= 1e-6
+        with pytest.raises(QuadratureError, match=f"^problem 1: {budget}") as exc:
+            integrate(lambda s, i: np.where(i == 1, np.sin(s) / s ** 2, s ** -2.0), 1.0,
+                      np.full(3, np.inf), tail_decay=2.0)
+        assert exc.value.estimate == pytest.approx(want, rel=0.0, abs=1e-8)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):

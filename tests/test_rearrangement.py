@@ -302,6 +302,19 @@ class TestMaximalFunction:
         assert mf.derivative(0.0) == -0.5
         assert mf.derivative(np.array([0.0, 1e-6])) == pytest.approx([-0.5, -0.5], rel=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_derivative_of_rearranged_profile_exact(self):
+        # v = 2 - s on [0, 1), 0.5 + 0.25 s on [1, 3): f* falls with slope
+        # -1 from 2 to 1.25 (mu = 0.75), then -1/(1 + 4) while both pieces
+        # cross the level, to 1 (mu = 2), then -1/4 down to 0.5 (mu = 4).
+        # The derivative is 1/mu' exactly, also at s = 0 and at the breaks
+        v = RadialProfile([PowerSegment(0, 1, [(2.0, 0.0), (-1.0, 1.0)]),
+                           PowerSegment(1, 3, [(0.5, 0.0), (0.25, 1.0)]), zero_tail(3.0)])
+        vstar = decreasing_rearrangement(v)
+        s = np.array([0.0, 1e-3, 0.5, 0.8, 1.2, 2.0, 2.9])
+        assert vstar.derivative(s).tolist() == [-1.0] * 3 + [-0.2] * 2 + [-0.25] * 2
+        assert maximal_function(vstar).derivative(0.0) == -0.5
+
 
 def jump_power_tail(c):
     """1.1c on [0, 5), then 2c 5^1.5 s^-1.5, which jumps up at 5: integral 25.5c."""
