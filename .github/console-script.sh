@@ -5,7 +5,9 @@
 # ln(R/s0) = 55, where the iterate's descending integral must keep its
 # digits) print the same bytes twice, and so does an m = 4 sweep, whose
 # second iterate reads the first through its lazily built interpolant. An
-# m = 1 sweep at n = 11 needs s0 beyond 1e9.
+# m = 1 sweep at n = 11 needs s0 beyond 1e9, and an m = 1 sweep out to
+# ln(R/s0) = 700, where the ramp slope R^(-1-1/p) is subnormal, must print
+# the same bytes twice.
 # verify-inequality runs again with OpenBLAS forced to its oldest x86
 # kernel (Prescott) and must print the same bytes: no quadrature result may
 # depend on the BLAS kernel. On an OpenBLAS built without DYNAMIC_ARCH, or
@@ -26,6 +28,11 @@ hpoincare sharpness-sweep --n 3 --m 2 --p 3 --log-ratios 10,20,40 --format json 
 hpoincare sharpness-sweep --n 3 --m 2 --p 3 --log-ratios 10,20,40 --format json > "$tmp/sweep-2.json"
 cmp "$tmp/sweep-1.json" "$tmp/sweep-2.json"
 hpoincare sharpness-sweep --n 11 --m 1 --p 2
+hpoincare sharpness-sweep --n 3 --m 1 --p 2 --log-ratios 450,480,600,700 --format json \
+    > "$tmp/sweep-7.json"
+hpoincare sharpness-sweep --n 3 --m 1 --p 2 --log-ratios 450,480,600,700 --format json \
+    > "$tmp/sweep-8.json"
+cmp "$tmp/sweep-7.json" "$tmp/sweep-8.json"
 hpoincare sharpness-sweep --n 3 --m 2 --p 1.2 --log-ratios 10,20,40,55 --format json \
     > "$tmp/sweep-3.json"
 hpoincare sharpness-sweep --n 3 --m 2 --p 1.2 --log-ratios 10,20,40,55 --format json \

@@ -110,11 +110,15 @@ def sinh_power_primitive(rho, n: int):
 
 
 def ball_volume(rho, sp: SpaceParams):
-    """Hyperbolic volume of the geodesic ball of radius rho."""
+    """Hyperbolic volume of the geodesic ball of radius rho; past _LOG_FAR
+    the leading exponential of `_far_volume_ratio`, which stays finite
+    where expm1((n-1) rho) overflows."""
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0):
         raise DomainError("geodesic radius must be nonnegative")
-    out = sp.sphere_area * sinh_power_primitive(rho_arr, sp.n)
+    far = (sp.n - 1) * rho_arr > _LOG_FAR
+    out = np.where(far, _far_volume_ratio(np.where(far, rho_arr, 0.0), 1.0, sp),
+                   sp.sphere_area * sinh_power_primitive(np.where(far, 0.0, rho_arr), sp.n))
     return float(out) if np.isscalar(rho) or rho_arr.ndim == 0 else out
 
 
@@ -201,7 +205,7 @@ def _newton_radius(sv, r, sp: SpaceParams):
             live, r_live, s_live, vol = live[keep], r_live[keep], s_live[keep], vol[keep]
             if not live.size:
                 break
-            area = sp.sphere_area * np.sinh(r_live) ** (n - 1)
+            area = sphere_area_of_radius(r_live, sp)
             step = (np.log(vol) - np.log(s_live)) * vol / area
             if far is not None:
                 far = far[keep]  # there ln(volume) rises by n-1 per unit of rho

@@ -383,29 +383,26 @@ class RadialProfile:
         return self._dispatch(s, lambda k, x: cum[k] + self.segments[k].primitive_from_lo(x))
 
     def lp_power(self, p):
-        """Integral of |v|^p over [0, inf)."""
+        """Integral of |v|^p over [0, inf). A segment without a rule of its
+        own takes the adaptive quadrature; on the infinite last segment |v|^p
+        decays like s^(-tail_bound * p), and QuadratureError if that is not
+        integrable."""
         total = 0.0
         for seg in self.segments:
             if seg.is_zero():
                 continue
             mass = seg.lp_mass(p, tail_bound=self.tail_bound)
             if mass is None:
-                mass = self.segment_integral(
-                    seg, lambda s, seg=seg: np.abs(seg.value(s)) ** p, p)
+                decay = None
+                if math.isinf(seg.s_hi):
+                    decay = (self.tail_bound or 0.0) * p
+                    if decay <= 1:
+                        raise numerics.QuadratureError(
+                            f"divergent or unbounded tail from {seg.s_lo}; tighten tail_bound")
+                mass = numerics.integrate(lambda s: np.abs(seg.value(s)) ** p,
+                                          seg.s_lo, seg.s_hi, tail_decay=decay)
             total += mass
         return total
-
-    def segment_integral(self, seg, integrand, p):
-        """Integral of integrand over the segment seg of this profile. On the
-        infinite last segment the integrand must decay like |v|^p, that is
-        like s^(-tail_bound * p); QuadratureError if that is not integrable."""
-        if not math.isinf(seg.s_hi):
-            return numerics.integrate(integrand, seg.s_lo, seg.s_hi)
-        decay = None if self.tail_bound is None else self.tail_bound * p
-        if decay is None or decay <= 1:
-            raise numerics.QuadratureError(
-                f"divergent or unbounded tail from {seg.s_lo}; tighten tail_bound")
-        return numerics.integrate(integrand, seg.s_lo, np.inf, tail_decay=decay)
 
 
 def zero_tail(s_lo):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extremizers, numerics
-from .geometry import SpaceParams, log_sphere_area_of_radius, surface_measure
+from .geometry import SpaceParams, log_sphere_area_of_radius
 from .numerics import DomainError
 from .profiles import RadialProfile
 
@@ -224,13 +224,16 @@ def lp_norm_volume(v: RadialProfile, p: float) -> float:
     return v.lp_power(p) ** (1.0 / p)
 
 
-def grad_norm_volume(v: RadialProfile, sp: SpaceParams, p: float) -> float:
-    """L^p norm of the gradient: (integral of (A(s) |v'(s)|)^p ds)^(1/p)."""
-    # |v'| ~ s^-(tail_bound+1) and A ~ s: the integrand decays like |v|^p
-    total = sum(v.segment_integral(
-        seg, lambda s, seg=seg: (surface_measure(s, sp) * np.abs(seg.deriv(s))) ** p, p)
-        for seg in v.segments if not seg.is_zero())
-    return total ** (1.0 / p)
+def grad_norm_volume(ext: extremizers.ExtremizerParams) -> float:
+    """L^p norm of the gradient of the extremizer in its scaled form: with
+    r = extremizers.area_ratio, (n-1)/p (integral of r(s)^p over ln s in
+    [ln s0, ln R] + p^p integral of (x r(Rx))^p over x in [1, 2])^(1/p).
+    Both integrands are O(1): no power of R, which underflows, is formed."""
+    sp, p, R = ext.sp, ext.p, ext.R
+    power = numerics.integrate(lambda t: extremizers.area_ratio(np.exp(t), sp) ** p,
+                               math.log(ext.s0), math.log(R))
+    ramp = numerics.integrate(lambda x: (x * extremizers.area_ratio(R * x, sp)) ** p, 1.0, 2.0)
+    return (sp.n - 1.0) / p * (power + p ** p * ramp) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -263,25 +266,18 @@ def check_inequality(u: TestFunction, params: PoincareParams) -> InequalityRepor
 
 def rayleigh_quotient(params: PoincareParams, ext: extremizers.ExtremizerParams) -> float:
     """Quotient ||u||_p / ||grad^m u||_p for the near-extremal function of
-    order m built from the extremizing profile.
+    order m built from the extremizing profile v.
 
-    Even m = 2k: u is the k-th inverse-Laplacian iterate, the denominator
-    is the norm of the base profile. Odd m = 2k+1: the denominator is the
-    gradient norm of the base profile; for m = 1 the gradient norm of the
-    extremizer is evaluated directly.
+    Even m = 2k: u is the k-th inverse-Laplacian iterate of v, and the
+    denominator is ||v||_p in closed form. Odd m = 2k+1: the denominator is
+    grad_norm_volume(ext), the gradient norm of v in its scaled form; for
+    m = 1 the numerator is ||v||_p itself.
     """
     m, p = params.m, params.p
-    sp = ext.sp
-    base = extremizers.extremizer_profile(ext)
     base_norm = extremizers.extremizer_lp_mass(ext) ** (1.0 / p)
-    k = m // 2
-    if m == 1:
-        return base_norm / grad_norm_volume(base, sp, p)
-    iterates = extremizers.inverse_laplacian_iterates(ext, k)
-    top = lp_norm_volume(iterates[-1], p)
-    if m % 2 == 0:
-        return top / base_norm
-    return top / grad_norm_volume(base, sp, p)
+    top = base_norm if m == 1 else lp_norm_volume(
+        extremizers.inverse_laplacian_iterates(ext, m // 2)[-1], p)
+    return top / (base_norm if m % 2 == 0 else grad_norm_volume(ext))
 
 
 @dataclass(frozen=True)
@@ -310,7 +306,8 @@ def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
     plateau-to-support log ratios, with a 1/log extrapolation.
 
     For m >= 2 the log ratio is capped (the grid supporting the iterated
-    inverse Laplacian loses accuracy on extremely wide supports). An empty
+    inverse Laplacian loses accuracy on extremely wide supports); m = 1 has
+    none, as grad_norm_volume forms no power of R (L = 700 runs at n = 3). An empty
     sequence, or an entry not finite or above the cap, raises DomainError
     before any work; so does, once s0 is chosen, one whose 2R = 2 s0 e^L overflows.
     """

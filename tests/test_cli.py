@@ -8,9 +8,9 @@ import sys
 import pytest
 
 import hpoincare
-from hpoincare import extremizers, geometry
+from hpoincare import extremizers, geometry, variational
 from hpoincare.cli import main
-from hpoincare.numerics import MAX_SPLITS, REL_TOL
+from hpoincare.numerics import MAX_SPLITS, REL_TOL, QuadratureError
 
 
 def run_cli(argv, capsys):
@@ -89,12 +89,19 @@ class TestSharpnessSweep:
         assert code == 2 and out == ""
         assert err.startswith("error: log ratio 800.0: the support end")
 
-    def test_quadrature_failure_reported_without_traceback(self, capsys):
-        # the m = 1 gradient norm runs out of panel splits at ln(R/s0) = 500
-        code, out, err = run_cli(["sharpness-sweep", "--m", "1",
-                                  "--log-ratios", "500"], capsys)
+    def test_quadrature_failure_reported_without_traceback(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise QuadratureError("quadrature did not converge within 4000 panel splits")
+
+        monkeypatch.setattr(variational, "sharpness_sweep", failing)
+        code, out, err = run_cli(["sharpness-sweep", "--m", "1"], capsys)
         assert code == 1 and out == ""
         assert err == "error: quadrature did not converge within 4000 panel splits\n"
+
+    def test_m1_sweep_past_subnormal_ramp(self, capsys):
+        # the ramp slope R^(-1-1/p) is subnormal at ln(R/s0) = 500
+        code, _, err = run_cli(["sharpness-sweep", "--m", "1", "--log-ratios", "500"], capsys)
+        assert code == 0 and err == ""
 
     def test_radius_is_the_one_the_sweep_used(self, capsys):
         # R = s0 e^L as support_radius builds it; numpy's exp differs by

@@ -18,7 +18,7 @@ def _assert_middle_deferred(prof, p):
     head, mid, tail = prof.segments
     assert mid.lp_mass(p) is None
     want = (head.lp_mass(p) + tail.lp_mass(p)
-            + prof.segment_integral(mid, lambda s: np.abs(mid.value(s)) ** p, p))
+            + integrate(lambda s: np.abs(mid.value(s)) ** p, mid.s_lo, mid.s_hi))
     assert prof.lp_power(p) == want
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hpoincare import variational
-from hpoincare.extremizers import ExtremizerParams, select_s0
-from hpoincare.geometry import SpaceParams
-from hpoincare.numerics import DomainError, QuadratureError
+from hpoincare.extremizers import ExtremizerParams, extremizer_profile, select_s0
+from hpoincare.geometry import SpaceParams, surface_measure
+from hpoincare.numerics import DomainError, QuadratureError, integrate
 from hpoincare.variational import (ExpRadial, PoincareParams,
                                    check_inequality,
                                    grad_norm_geodesic, grad_norm_volume,
@@ -231,8 +231,7 @@ class TestNormsVolume:
         eps, lr, p = 0.01, 30.0, 2.0
         s0 = select_s0(sp, eps)
         ext = ExtremizerParams(eps=eps, s0=s0, R=s0 * math.exp(lr), p=p, sp=sp)
-        from hpoincare.extremizers import extremizer_profile
-        g = grad_norm_volume(extremizer_profile(ext), sp, p)
+        g = grad_norm_volume(ext)
         n1 = sp.n - 1.0
         bound = (1 + eps) ** p * n1 ** p * (lr / p ** p
                                             + (2 ** (p + 1) - 1) / (p + 1))
@@ -240,17 +239,31 @@ class TestNormsVolume:
         assert g ** p >= n1 ** p * lr / p ** p  # plateau-free lower bound
 
     def test_grad_norm_volume_closed_form(self):
-        # n = 2: A(s)^2 = s^2 + 4 pi s exactly. Profile: constant head,
-        # c s^e on [a, b], c2 / s tail; the gradient mass at p = 2 is
-        # c^2 e^2 [s^(2e+1)/(2e+1) + 4 pi s^(2e)/(2e)]_a^b + c2^2 (1/b + 2 pi/b^2)
-        from hpoincare.profiles import PowerSegment, RadialProfile
-        a, b, c, e, c2 = 0.5, 7.0, 0.9, -0.4, 0.6
-        prof = RadialProfile([PowerSegment(0.0, a, [(1.3, 0.0)]),
-                              PowerSegment(a, b, [(c, e)]),
-                              PowerSegment(b, np.inf, [(c2, -1.0)])], tail_bound=1.0)
-        prim = lambda s: s ** (2 * e + 1) / (2 * e + 1) + 4 * math.pi * s ** (2 * e) / (2 * e)
-        want = c ** 2 * e ** 2 * (prim(b) - prim(a)) + c2 ** 2 * (1 / b + 2 * math.pi / b ** 2)
-        assert grad_norm_volume(prof, SpaceParams(2), 2.0) ** 2 == pytest.approx(want, rel=1e-9)
+        # n = 2: A(s)^2 = s^2 + 4 pi s exactly, so at p = 2 the power piece
+        # s^(-1/2) on [s0, R] gives (L + 4 pi (1/s0 - 1/R)) / 4 and the ramp
+        # R^(-1/2) (2 - s/R) on [R, 2R] gives 7/3 + 6 pi/R
+        sp = SpaceParams(2)
+        s0 = select_s0(sp, 0.01)
+        for lr in (10.0, 50.0, 200.0, 450.0, 480.0, 600.0, 700.0):
+            R = s0 * math.exp(lr)
+            want = (lr + 4 * math.pi * (1 / s0 - 1 / R)) / 4 + 7 / 3 + 6 * math.pi / R
+            got = grad_norm_volume(ExtremizerParams(eps=0.01, s0=s0, R=R, p=2.0, sp=sp)) ** 2
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("p", [1.2, 2.0, 6.0, 20.0])
+    def test_grad_norm_volume_matches_segment_integrals(self, n, p):
+        # the scaled form against the integrals of (A |v'|)^p in s over the
+        # two sloped segments of the extremizer
+        sp = SpaceParams(n)
+        s0 = select_s0(sp, 0.01)
+        for lr in (10.0, 50.0, 200.0):
+            ext = ExtremizerParams(eps=0.01, s0=s0, R=s0 * math.exp(lr), p=p, sp=sp)
+            mass = sum(integrate(lambda s, seg=seg: (surface_measure(s, sp)
+                                                     * np.abs(seg.deriv(s))) ** p,
+                                 seg.s_lo, seg.s_hi)
+                       for seg in extremizer_profile(ext).segments[1:3])
+            assert grad_norm_volume(ext) == pytest.approx(mass ** (1.0 / p), rel=1e-12)
 
 
 class TestInequality:
@@ -317,6 +330,13 @@ class TestSharpness:
         qs = [pt.quotient for pt in res.points]
         assert qs[0] < qs[1] < qs[2] < res.constant
         assert res.extrapolated <= res.constant * 1.02
+
+    def test_sweep_m1_past_subnormal_ramp(self):
+        # at ln(R/s0) = 480 the ramp slope R^(-1-1/p) is subnormal; the
+        # scaled gradient norm never forms it
+        res = sharpness_sweep(3, 1, 2.0, log_ratios=(400.0, 450.0, 480.0, 600.0, 700.0))
+        qs = [pt.quotient for pt in res.points]
+        assert qs[0] < qs[1] < qs[2] < qs[3] < qs[4] < res.constant
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_widest_m2_sweep_within_split_budget(self, n):
