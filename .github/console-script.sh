@@ -5,9 +5,10 @@
 # ln(R/s0) = 55, where the iterate's descending integral must keep its
 # digits) print the same bytes twice, and so does an m = 4 sweep, whose
 # second iterate reads the first through its lazily built interpolant. An
-# m = 1 sweep at n = 11 needs s0 beyond 1e9, and an m = 1 sweep out to
-# ln(R/s0) = 700, where the ramp slope R^(-1-1/p) is subnormal, must print
-# the same bytes twice.
+# m = 1 sweep at n = 11 needs s0 beyond 1e9, and two m = 1 sweeps must
+# print the same bytes twice: one out to ln(R/s0) = 700, where the ramp
+# slope R^(-1-1/p) is subnormal, and one at n = 16 out to 680, where the
+# sphere area and (n-1) 2R overflow while 2R does not.
 # verify-inequality runs again with OpenBLAS forced to its oldest x86
 # kernel (Prescott) and must print the same bytes: no quadrature result may
 # depend on the BLAS kernel. On an OpenBLAS built without DYNAMIC_ARCH, or
@@ -33,6 +34,11 @@ hpoincare sharpness-sweep --n 3 --m 1 --p 2 --log-ratios 450,480,600,700 --forma
 hpoincare sharpness-sweep --n 3 --m 1 --p 2 --log-ratios 450,480,600,700 --format json \
     > "$tmp/sweep-8.json"
 cmp "$tmp/sweep-7.json" "$tmp/sweep-8.json"
+hpoincare sharpness-sweep --n 16 --m 1 --p 2 --log-ratios 600,680 --format json \
+    > "$tmp/sweep-9.json"
+hpoincare sharpness-sweep --n 16 --m 1 --p 2 --log-ratios 600,680 --format json \
+    > "$tmp/sweep-10.json"
+cmp "$tmp/sweep-9.json" "$tmp/sweep-10.json"
 hpoincare sharpness-sweep --n 3 --m 2 --p 1.2 --log-ratios 10,20,40,55 --format json \
     > "$tmp/sweep-3.json"
 hpoincare sharpness-sweep --n 3 --m 2 --p 1.2 --log-ratios 10,20,40,55 --format json \

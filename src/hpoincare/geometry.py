@@ -45,23 +45,17 @@ class SpaceParams:
         return self.n * self.omega_n
 
 
-def _binom_terms(n: int):
-    """Exponents a and signed binomials c of 2^(n-1) sinh^(n-1) r = sum c e^(a r)."""
-    nm1 = n - 1
-    return [(nm1 - 2 * k, (-1) ** k * math.comb(nm1, k)) for k in range(n)]
-
-
 @functools.cache
 def _series_coefs(n: int) -> list[float]:
     """Coefficients b_k of the integral of sinh^(n-1) over [0, rho] as
     rho^n sum_k b_k rho^(2k), highest k first.
 
-    Expanding the exponentials of `_binom_terms` gives each b_k as an exact
-    rational, sum_i c_i a_i^(n-1+2k) / (2^(n-1) (n+2k)!), rounded once. All
-    b_k are positive; the sum stops where the next term at rho = 1 is below
-    1e-17 of it (9, 11, 17 and 23 terms for n = 2, 3, 8 and 16).
+    Expanding the exponentials of 2^(n-1) sinh^(n-1) r = sum_i c_i e^(a_i r), a_i = n-1-2i,
+    c_i = (-1)^i C(n-1, i), gives each b_k as an exact rational, sum_i c_i a_i^(n-1+2k) /
+    (2^(n-1) (n+2k)!), rounded once. All b_k are positive; the sum stops where the next
+    term at rho = 1 is below 1e-17 of it (9, 11, 17 and 23 terms for n = 2, 3, 8 and 16).
     """
-    terms = _binom_terms(n)
+    terms = [(n - 1 - 2 * i, (-1) ** i * math.comb(n - 1, i)) for i in range(n)]
     coefs, total = [], 0.0
     while True:
         j = n - 1 + 2 * len(coefs)
@@ -73,53 +67,79 @@ def _series_coefs(n: int) -> list[float]:
     return coefs[::-1]
 
 
-def sinh_power_primitive(rho, n: int):
-    """Integral of sinh^(n-1) r over [0, rho].
+def volume_ratios(rho, s, sp: SpaceParams):
+    """q = V(rho) / s and g = V(rho) / A(rho) for an array of radii rho >= 0 and volumes
+    s > 0 (a scalar or one per radius), finite wherever q is, as neither V nor A is formed.
 
-    For rho >= 1 it sums the binomial expansion in expm1. That expansion
-    cancels catastrophically for small rho (the result is ~rho^n while the
-    terms are ~rho), so below rho = 1 it sums the power series of
-    `_series_coefs` by Horner in rho^2; its terms are all positive, and the
-    two branches meet within 1e-14 relative at rho = 1.
+    Below rho = 1 V is |S^(n-1)| rho^n times the series of `_series_coefs` in rho^2 (the
+    binomial expansion of sinh^(n-1) cancels there). From rho = 1 on g = I_(n-1) / sinh^(n-1)
+    rho, I_k the integral of sinh^k over [0, rho], by g_k = (coth rho - (k-1) g_(k-2) /
+    sinh^2 rho) / k from g_0 = rho or g_1 = tanh(rho/2), stable where sinh^2 rho > 1, and
+    q = |S^(n-1)| sinh^(n-1)(rho) g / s with sinh rho and s split by frexp into mantissas
+    and binary exponents. The two meet within 1e-14 relative at rho = 1. Both work in place
+    where they can: a freed large temporary can go back to the system and fault again.
     """
-    rho = np.asarray(rho, dtype=float)
-    scalar = rho.ndim == 0
-    rho = np.atleast_1d(rho)
-    out = np.zeros_like(rho)
-    small = rho < 1.0
-    if np.any(small):
-        r_small = rho[small]
-        x = r_small * r_small
-        coefs = _series_coefs(n)
-        acc = coefs[0]
-        for b in coefs[1:]:
-            acc = acc * x + b
-        out[small] = r_small ** n * acc
-    big = ~small
-    if np.any(big):
-        r_big = rho[big]
-        acc = np.zeros_like(r_big)
-        for a, c in _binom_terms(n):
-            coef = c / 2.0 ** (n - 1)
-            if a == 0:
-                acc = acc + coef * r_big
-            else:
-                acc = acc + coef * np.expm1(a * r_big) / a
-        out[big] = acc
-    return out[0] if scalar else out
+    s = np.asarray(s, dtype=float)
+    near = rho < 1.0
+    k = np.count_nonzero(near)
+    if k in (0, rho.size):
+        return (_near_ratios if k else _far_ratios)(rho, s, sp)
+    if near[:k].all():  # ascending radii: slices, not masked copies
+        (qn, gn), (qf, gf) = (_near_ratios(rho[:k], s[:k] if s.ndim else s, sp),
+                              _far_ratios(rho[k:], s[k:] if s.ndim else s, sp))
+        return np.concatenate([qn, qf]), np.concatenate([gn, gf])
+    q, g = np.empty_like(rho), np.empty_like(rho)
+    q[near], g[near] = _near_ratios(rho[near], s[near] if s.ndim else s, sp)
+    q[~near], g[~near] = _far_ratios(rho[~near], s[~near] if s.ndim else s, sp)
+    return q, g
+
+
+def _near_ratios(r, s, sp: SpaceParams):
+    """q and g of `volume_ratios` below rho = 1; g is rho acc (rho / sinh rho)^(n-1)."""
+    n = sp.n
+    x = r * r
+    coefs = _series_coefs(n)
+    acc = coefs[0] * x + coefs[1]
+    for b in coefs[2:]:
+        acc *= x
+        acc += b
+    g = np.divide(r, np.sinh(r), out=np.ones_like(r), where=r > 0)
+    g **= n - 1
+    g *= acc * r
+    acc *= np.power(r, n, out=x)
+    acc *= sp.sphere_area / s
+    return acc, g
+
+
+def _far_ratios(r, s, sp: SpaceParams):
+    """q and g of `volume_ratios` from rho = 1 on."""
+    n = sp.n
+    sh = np.sinh(r)
+    m, e = np.frexp(sh)
+    g = r if n % 2 else np.tanh(0.5 * r)
+    if n > 2:
+        csch2 = np.square(np.divide(1.0, sh, out=sh), out=sh)  # sh itself is done with
+        coth = np.sqrt(csch2 + 1.0)
+    for k in range(3 - n % 2, n, 2):
+        step = (k - 1) * csch2
+        step *= g
+        g = np.subtract(coth, step, out=step)
+        g /= k
+    ms, es = np.frexp(s)
+    m **= n - 1
+    m *= g
+    m *= sp.sphere_area / ms
+    return np.ldexp(m, (n - 1) * e - es, out=m), g
 
 
 def ball_volume(rho, sp: SpaceParams):
-    """Hyperbolic volume of the geodesic ball of radius rho; past _LOG_FAR
-    the leading exponential of `_far_volume_ratio`, which stays finite
-    where expm1((n-1) rho) overflows."""
+    """Hyperbolic volume of the geodesic ball of radius rho (the q of
+    `volume_ratios` at s = 1)."""
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0):
         raise DomainError("geodesic radius must be nonnegative")
-    far = (sp.n - 1) * rho_arr > _LOG_FAR
-    out = np.where(far, _far_volume_ratio(np.where(far, rho_arr, 0.0), 1.0, sp),
-                   sp.sphere_area * sinh_power_primitive(np.where(far, 0.0, rho_arr), sp.n))
-    return float(out) if np.isscalar(rho) or rho_arr.ndim == 0 else out
+    out = volume_ratios(np.atleast_1d(rho_arr), 1.0, sp)[0]
+    return float(out[0]) if np.isscalar(rho) or rho_arr.ndim == 0 else out
 
 
 def sphere_area_of_radius(rho, sp: SpaceParams):
@@ -135,12 +155,6 @@ def log_sphere_area_of_radius(rho, sp: SpaceParams):
     with np.errstate(divide="ignore"):
         log_sinh = rho + np.log1p(-np.exp(-2.0 * rho)) - math.log(2.0)
     return math.log(sp.sphere_area) + (sp.n - 1) * log_sinh
-
-
-# above (n-1) rho = 500 the ball volume is its leading exponential to 1e-27;
-# below, the primitive's rounding and the volume step between neighbouring
-# radii stay inside the 1e-13 test
-_LOG_FAR = 500.0
 
 
 def radius_for_volume(s, sp: SpaceParams):
@@ -160,8 +174,8 @@ def radius_for_volume(s, sp: SpaceParams):
     sv = s_arr[pos]
     with np.errstate(over="ignore", divide="ignore"):
         # small-ball seed overestimates the root, the exponential-asymptote
-        # seed underestimates it; use the former only for moderate radii to
-        # avoid overflowing sinh during the iteration
+        # seed underestimates it; use the former only for moderate radii,
+        # where its volume and the first Newton step stay finite
         seed_small = np.minimum((sv / sp.omega_n) ** (1.0 / n), 3.0)
         seed_big = np.log(sv * (n - 1) * 2.0 ** (n - 1) / sp.sphere_area) / (n - 1)
         r = np.maximum(seed_small, np.where(np.isfinite(seed_big), seed_big, 0.0))
@@ -171,46 +185,26 @@ def radius_for_volume(s, sp: SpaceParams):
     return rho
 
 
-def _far_volume_ratio(rho, s, sp: SpaceParams):
-    """ball_volume(rho) / s past _LOG_FAR: the leading exponential as
-    (e^rho)^(n-1), binary exponents split off, so that nothing overflows and
-    no rounding of ln s near 700 (up to 1e-13) enters."""
-    n = sp.n
-    m, e = np.frexp(np.exp(rho))
-    ms, es = np.frexp(s)
-    return np.ldexp(sp.sphere_area / ((n - 1) * 2.0 ** (n - 1)) * m ** (n - 1) / ms,
-                    (n - 1) * e - es)
-
-
 def _newton_radius(sv, r, sp: SpaceParams):
     """Radii of the positive volumes sv by safeguarded vectorized Newton on
-    ln(volume) from the seeds r, until the volume is within 1e-13 relative;
-    each step evaluates only the points not yet converged, and reads
-    `_far_volume_ratio` past _LOG_FAR, where expm1((n-1) rho) overflows or
-    rounds too coarsely for the test. DomainError as in radius_for_volume."""
-    n = sp.n
+    ln(volume) from the seeds r, until the volume is within 1e-13 relative:
+    the step is ln(q) g with q and g from `volume_ratios`, and each step
+    evaluates only the points not yet converged. DomainError as in
+    radius_for_volume."""
     r = np.maximum(r, 1e-300)
     live = np.arange(sv.size)  # indices of the points not yet converged
     r_live, s_live = r, sv
     # an overflow, or the log of 0, ends as a non-finite iterate, which raises
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(80):
-            vol = sp.sphere_area * sinh_power_primitive(r_live, n)
-            done = np.abs(vol - s_live) <= 1e-13 * s_live
-            far = None
-            if (n - 1) * r_live.max(initial=0.0) > _LOG_FAR:
-                far = (n - 1) * r_live > _LOG_FAR
-                done[far] = np.abs(_far_volume_ratio(r_live[far], s_live[far], sp) - 1.0) <= 1e-13
-            keep = ~done
-            live, r_live, s_live, vol = live[keep], r_live[keep], s_live[keep], vol[keep]
+            q, g = volume_ratios(r_live, s_live, sp)
+            # q - 1 is resolved to 2^-53 only: that much below 1e-13 keeps
+            # the volume itself within 1e-13 of s
+            keep = ~(np.abs(q - 1.0) <= 1e-13 - 2.0 ** -52)
+            live, r_live, s_live = live[keep], r_live[keep], s_live[keep]
             if not live.size:
                 break
-            area = sphere_area_of_radius(r_live, sp)
-            step = (np.log(vol) - np.log(s_live)) * vol / area
-            if far is not None:
-                far = far[keep]  # there ln(volume) rises by n-1 per unit of rho
-                step[far] = np.log(_far_volume_ratio(r_live[far], s_live[far], sp)) / (n - 1)
-            r_new = r_live - step
+            r_new = r_live - np.log(q[keep]) * g[keep]
             r_new = np.where(r_new <= 0, 0.5 * r_live, r_new)
             bad = ~np.isfinite(r_new)
             if np.any(bad):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extremizers, numerics
-from .geometry import SpaceParams, log_sphere_area_of_radius
+from .geometry import SpaceParams, log_sphere_area_of_radius, radius_for_volume, volume_ratios
 from .numerics import DomainError
 from .profiles import RadialProfile
 
@@ -225,14 +225,19 @@ def lp_norm_volume(v: RadialProfile, p: float) -> float:
 
 
 def grad_norm_volume(ext: extremizers.ExtremizerParams) -> float:
-    """L^p norm of the gradient of the extremizer in its scaled form: with
-    r = extremizers.area_ratio, (n-1)/p (integral of r(s)^p over ln s in
-    [ln s0, ln R] + p^p integral of (x r(Rx))^p over x in [1, 2])^(1/p).
-    Both integrands are O(1): no power of R, which underflows, is formed."""
+    """L^p norm of the gradient of the extremizer in its scaled form with r = A/((n-1) s),
+    (n-1)/p (int r^p d(ln s) over [s0, R] + p^p int (x r)^p dx over x = s/R in [1, 2])^(1/p),
+    in rho: with q = V/R and g = V/A from `volume_ratios`, r = 1/((n-1) g), d(ln s) = drho/g
+    and dx = q drho/g. The integrands are O(1), and only rho(s0), rho(R), rho(2R) are inverted."""
     sp, p, R = ext.sp, ext.p, ext.R
-    power = numerics.integrate(lambda t: extremizers.area_ratio(np.exp(t), sp) ** p,
-                               math.log(ext.s0), math.log(R))
-    ramp = numerics.integrate(lambda x: (x * extremizers.area_ratio(R * x, sp)) ** p, 1.0, 2.0)
+    rho0, rho1, rho2 = radius_for_volume(np.array([ext.s0, R, 2.0 * R]), sp)
+
+    def integrands(rho, i):
+        q, g = volume_ratios(rho, R, sp)
+        r = 1.0 / ((sp.n - 1) * g)
+        return np.where(i == 0, r ** p, (q * r) ** p * q) / g
+
+    power, ramp = numerics.integrate(integrands, np.array([rho0, rho1]), np.array([rho1, rho2]))
     return (sp.n - 1.0) / p * (power + p ** p * ramp) ** (1.0 / p)
 
 
@@ -307,9 +312,9 @@ def sharpness_sweep(n: int, m: int, p: float, eps: float | None = None,
 
     For m >= 2 the log ratio is capped (the grid supporting the iterated
     inverse Laplacian loses accuracy on extremely wide supports); m = 1 has
-    none, as grad_norm_volume forms no power of R (L = 700 runs at n = 3). An empty
-    sequence, or an entry not finite or above the cap, raises DomainError
-    before any work; so does, once s0 is chosen, one whose 2R = 2 s0 e^L overflows.
+    none, as grad_norm_volume forms no power of R, V or A (it runs to the L where 2R
+    overflows). An empty sequence, or an entry not finite or above the cap, raises
+    DomainError before any work; so does, once s0 is chosen, one whose 2R overflows.
     """
     params = PoincareParams(n, m, p)
     log_ratios = tuple(log_ratios)

@@ -286,15 +286,15 @@ def fine_nodes(grid):
 
 
 def count_primitive_points(monkeypatch):
-    """Points passed to geometry.sinh_power_primitive from now on."""
+    """Points passed to the volume kernel geometry.volume_ratios from now on."""
     passed = []
-    primitive = geometry.sinh_power_primitive
+    kernel = geometry.volume_ratios
 
-    def counting(rho, n):
+    def counting(rho, s, sp):
         passed.append(np.size(rho))
-        return primitive(rho, n)
+        return kernel(rho, s, sp)
 
-    monkeypatch.setattr(geometry, "sinh_power_primitive", counting)
+    monkeypatch.setattr(geometry, "volume_ratios", counting)
     return passed
 
 

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import re
@@ -9,8 +10,8 @@ from hpoincare import geometry
 from hpoincare.extremizers import ExtremizerParams, default_grid
 from hpoincare.geometry import (SpaceParams, ball_volume, laplacian_volume_coord,
                                 radial_laplacian_geodesic, radius_for_volume,
-                                sinh_power_primitive, sphere_area_of_radius,
-                                surface_measure, unit_ball_volume)
+                                sphere_area_of_radius, surface_measure, unit_ball_volume,
+                                volume_ratios)
 from hpoincare.numerics import DomainError, batched_gauss, integrate
 from hpoincare.profiles import PowerSegment, RadialProfile
 
@@ -29,6 +30,21 @@ class TestSpaceParams:
         for n in range(4, 12):
             assert unit_ball_volume(n) == pytest.approx(
                 unit_ball_volume(n - 2) * 2 * math.pi / n, rel=1e-13)
+
+
+def _binomial_volume(rho, sp):
+    """|S^(n-1)| 2^(1-n) (sum over a != 0 of c (e^(a rho) - 1) / a + c_0 rho),
+    the ball volume from the expansion 2^(n-1) sinh^(n-1) r = sum c e^(a r),
+    summed in 50-digit decimal."""
+    n = sp.n
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        r = decimal.Decimal(float(rho))
+        total = decimal.Decimal(0)
+        for k in range(n):
+            a, c = n - 1 - 2 * k, (-1) ** k * math.comb(n - 1, k)
+            total += c * r if a == 0 else c * ((a * r).exp() - 1) / a
+        return float(decimal.Decimal(sp.sphere_area) * total / 2 ** (n - 1))
 
 
 class TestBallVolume:
@@ -59,6 +75,15 @@ class TestBallVolume:
         with pytest.raises(DomainError):
             ball_volume(-1.0, SpaceParams(3))
 
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_matches_50_digit_binomial_sum(self, n):
+        # just above rho = 1 the binomial terms cancel, and near the top of
+        # the float range sinh^(n-1) rho is formed in binary pieces
+        sp = SpaceParams(n)
+        rho = np.concatenate([np.linspace(1.0, 1.6, 60), np.linspace(300.0, 700.0, 60) / (n - 1)])
+        want = np.array([_binomial_volume(r, sp) for r in rho])
+        assert np.max(np.abs(ball_volume(rho, sp) / want - 1.0)) <= 5e-15
+
     def test_strictly_increasing(self):
         sp = SpaceParams(4)
         rho = np.geomspace(1e-6, 50.0, 200)
@@ -66,16 +91,22 @@ class TestBallVolume:
 
 
 class TestSinhPowerPrimitive:
+    # the integral of sinh^(n-1) over [0, rho] is the q of volume_ratios at
+    # s = |S^(n-1)|
+
     @pytest.mark.parametrize("n", range(2, 17))
     def test_series_matches_gauss_panel(self, n):
         # below rho = 1 the power series replaces a 32-point Gauss panel
+        sp = SpaceParams(n)
         rho = np.geomspace(1e-8, np.nextafter(1.0, 0.0), 400)
         want = batched_gauss(lambda r: np.sinh(r) ** (n - 1), np.zeros_like(rho), rho, 32)
-        assert np.allclose(sinh_power_primitive(rho, n), want, rtol=1e-14, atol=0.0)
+        got = volume_ratios(rho, sp.sphere_area, sp)[0]
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_branches_meet_at_one(self, n):
-        below, at = sinh_power_primitive(np.array([np.nextafter(1.0, 0.0), 1.0]), n)
+        # the series just below 1 and the recurrence from 1 on
+        below, at = volume_ratios(np.array([np.nextafter(1.0, 0.0), 1.0]), 1.0, SpaceParams(n))[0]
         assert abs(at / below - 1.0) <= 1e-14
 
 
@@ -89,7 +120,7 @@ class TestRadiusForVolume:
 
     def test_round_trip_all_dims(self):
         # the Newton stopping test itself: volume within 1e-13 relative, up
-        # to volumes where expm1((n-1) rho) overflows
+        # to the top of the float range
         s = np.concatenate([np.geomspace(1e-200, 1e200, 4001), np.geomspace(1e300, 1.7e308)])
         for n in range(2, 17):
             sp = SpaceParams(n)
@@ -103,13 +134,12 @@ class TestRadiusForVolume:
         grid = default_grid(params)
         s = np.geomspace(grid.s_min, grid.s_max, (grid.points - 1) * 4 + 1)
         passed = []
-        primitive = geometry.sinh_power_primitive
 
-        def counting(rho, n):
+        def counting(rho, vol, sp):
             passed.append(np.size(rho))
-            return primitive(rho, n)
+            return volume_ratios(rho, vol, sp)
 
-        monkeypatch.setattr(geometry, "sinh_power_primitive", counting)
+        monkeypatch.setattr(geometry, "volume_ratios", counting)
         radius_for_volume(s, params.sp)
         assert sum(passed) < 4 * s.size
 
@@ -126,7 +156,7 @@ class TestRadiusForVolume:
     def test_inverts_top_of_float_range(self, s, n):
         # there the volume is its leading exponential to rounding, whose
         # inverse is the asymptote ln(s (n-1) 2^(n-1) / |S^(n-1)|) / (n-1);
-        # at 9 of these volumes expm1((n-1) rho) overflows
+        # at 9 of these volumes e^((n-1) rho) overflows
         sp = SpaceParams(n)
         want = (math.log(s) + math.log((n - 1) * 2.0 ** (n - 1) / sp.sphere_area)) / (n - 1)
         assert radius_for_volume(np.array([1.0, s]), sp)[1] == pytest.approx(want, rel=1e-14)
@@ -134,8 +164,8 @@ class TestRadiusForVolume:
     @pytest.mark.parametrize("s, n", [(3.028656361143884e248, 10), (1.891741658717011e298, 11)])
     def test_inverts_past_radius_64(self, s, n):
         # at rho just above 64 the volume step between neighbouring radii is
-        # (n-1) ulp(rho) = 1.3e-13 and 1.4e-13, and the rounding of expm1
-        # puts both radii next to each root outside the 1e-13 test
+        # (n-1) ulp(rho) = 1.3e-13 and 1.4e-13, so a volume rounded by a few
+        # 1e-14 puts both radii next to each root outside the 1e-13 test
         sp = SpaceParams(n)
         want = (math.log(s) + math.log((n - 1) * 2.0 ** (n - 1) / sp.sphere_area)) / (n - 1)
         assert radius_for_volume(s, sp) == pytest.approx(want, rel=1e-14)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hpoincare import variational
-from hpoincare.extremizers import ExtremizerParams, extremizer_profile, select_s0
+from hpoincare.extremizers import (ExtremizerParams, extremizer_profile, select_s0,
+                                   support_radius)
 from hpoincare.geometry import SpaceParams, surface_measure
 from hpoincare.numerics import DomainError, QuadratureError, integrate
 from hpoincare.variational import (ExpRadial, PoincareParams,
@@ -337,6 +338,20 @@ class TestSharpness:
         res = sharpness_sweep(3, 1, 2.0, log_ratios=(400.0, 450.0, 480.0, 600.0, 700.0))
         qs = [pt.quotient for pt in res.points]
         assert qs[0] < qs[1] < qs[2] < qs[3] < qs[4] < res.constant
+
+    @pytest.mark.parametrize("p", [1.2, 2.0, 6.0])
+    @pytest.mark.parametrize("n, top", [(3, 701), (8, 692), (16, 680)])
+    def test_sweep_m1_to_float_range(self, n, top, p):
+        # top is the largest integer L whose support end 2R = 2 s0 e^L is
+        # finite; the sphere area near 2R, about (n-1) 2R, is past the float
+        # range there, and the volume kernel never forms it
+        s0 = select_s0(SpaceParams(n), 0.01)
+        support_radius(s0, top)
+        with pytest.raises(DomainError):
+            support_radius(s0, top + 1)
+        res = sharpness_sweep(n, 1, p, log_ratios=(top - 200.0, top - 20.0, float(top)))
+        qs = [pt.quotient for pt in res.points]
+        assert 0.0 < qs[0] < qs[1] < qs[2] < res.constant
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_widest_m2_sweep_within_split_budget(self, n):
