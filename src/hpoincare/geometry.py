@@ -107,8 +107,8 @@ def _near_ratios(r, s, sp: SpaceParams):
     g **= n - 1
     g *= acc * r
     acc *= np.power(r, n, out=x)
-    acc *= sp.sphere_area / s
-    return acc, g
+    acc *= sp.sphere_area  # before dividing: |S^(n-1)| / s overflows for s near DBL_MIN
+    return np.divide(acc, s, out=acc), g
 
 
 def _far_ratios(r, s, sp: SpaceParams):

@@ -234,8 +234,7 @@ def grad_norm_volume(ext: extremizers.ExtremizerParams) -> float:
 
     def integrands(rho, i):
         q, g = volume_ratios(rho, R, sp)
-        r = 1.0 / ((sp.n - 1) * g)
-        return np.where(i == 0, r ** p, (q * r) ** p * q) / g
+        return ((sp.n - 1) * g) ** -p / g * np.power(q, p + 1, out=np.ones_like(q), where=i == 1)
 
     power, ramp = numerics.integrate(integrands, np.array([rho0, rho1]), np.array([rho1, rho2]))
     return (sp.n - 1.0) / p * (power + p ** p * ramp) ** (1.0 / p)

@@ -109,6 +109,15 @@ class TestSinhPowerPrimitive:
         below, at = volume_ratios(np.array([np.nextafter(1.0, 0.0), 1.0]), 1.0, SpaceParams(n))[0]
         assert abs(at / below - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_order_of_radii_does_not_matter(self, n):
+        # ascending radii on both sides of 1 take views, any other order masks
+        sp = SpaceParams(n)
+        rho, s = np.geomspace(1e-3, 50.0, 301), np.geomspace(1e-9, 1e300, 301)
+        perm = np.random.default_rng(n).permutation(rho.size)
+        for want, got in zip(volume_ratios(rho, s, sp), volume_ratios(rho[perm], s[perm], sp)):
+            assert np.array_equal(got, want[perm])
+
 
 class TestRadiusForVolume:
     def test_zero(self):
@@ -119,9 +128,10 @@ class TestRadiusForVolume:
         assert radius_for_volume(s, SpaceParams(2)) == pytest.approx(1.0, rel=1e-12)
 
     def test_round_trip_all_dims(self):
-        # the Newton stopping test itself: volume within 1e-13 relative, up
-        # to the top of the float range
-        s = np.concatenate([np.geomspace(1e-200, 1e200, 4001), np.geomspace(1e300, 1.7e308)])
+        # the Newton stopping test itself: volume within 1e-13 relative, from
+        # the bottom of the normal range to the top of the float range
+        s = np.concatenate([np.geomspace(np.finfo(float).tiny, 1e-306, 201),
+                            np.geomspace(1e-200, 1e200, 4001), np.geomspace(1e300, 1.7e308)])
         for n in range(2, 17):
             sp = SpaceParams(n)
             resid = np.abs(ball_volume(radius_for_volume(s, sp), sp) - s)
@@ -171,7 +181,8 @@ class TestRadiusForVolume:
         assert radius_for_volume(s, sp) == pytest.approx(want, rel=1e-14)
 
     def test_whole_float_range_inverts(self):
-        s = np.geomspace(1e-300, 1e308, 20001)
+        s = np.concatenate([np.geomspace(np.finfo(float).tiny, 1e-306, 201),
+                            np.geomspace(1e-300, 1e308, 20001)])
         for n in range(2, 17):
             rho = radius_for_volume(s, SpaceParams(n))
             assert np.all(np.isfinite(rho)) and np.all(np.diff(rho) > 0)
