@@ -8,7 +8,9 @@
 # m = 1 sweep at n = 11 needs s0 beyond 1e9, and two m = 1 sweeps must
 # print the same bytes twice: one out to ln(R/s0) = 700, where the ramp
 # slope R^(-1-1/p) is subnormal, and one at n = 16 out to 680, where the
-# sphere area and (n-1) 2R overflow while 2R does not.
+# sphere area and (n-1) 2R overflow while 2R does not. An m = 2 sweep at
+# n = 16, p = 6 out to ln(R/s0) = 60, with s0 beyond 1e9, takes the sigma
+# grid's longest far-field recurrence and must print the same bytes twice.
 # verify-inequality runs again with OpenBLAS forced to its oldest x86
 # kernel (Prescott) and must print the same bytes: no quadrature result may
 # depend on the BLAS kernel. On an OpenBLAS built without DYNAMIC_ARCH, or
@@ -44,6 +46,11 @@ hpoincare sharpness-sweep --n 3 --m 2 --p 1.2 --log-ratios 10,20,40,55 --format 
 hpoincare sharpness-sweep --n 3 --m 2 --p 1.2 --log-ratios 10,20,40,55 --format json \
     > "$tmp/sweep-4.json"
 cmp "$tmp/sweep-3.json" "$tmp/sweep-4.json"
+hpoincare sharpness-sweep --n 16 --m 2 --p 6 --log-ratios 20,40,60 --format json \
+    > "$tmp/sweep-11.json"
+hpoincare sharpness-sweep --n 16 --m 2 --p 6 --log-ratios 20,40,60 --format json \
+    > "$tmp/sweep-12.json"
+cmp "$tmp/sweep-11.json" "$tmp/sweep-12.json"
 hpoincare sharpness-sweep --n 3 --m 4 --p 1.5 --log-ratios 10,20,40 --format json \
     > "$tmp/sweep-5.json"
 hpoincare sharpness-sweep --n 3 --m 4 --p 1.5 --log-ratios 10,20,40 --format json \

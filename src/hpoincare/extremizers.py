@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics, rearrangement
-from .geometry import SpaceParams, radius_on_log_grid, sphere_area_of_radius, surface_measure
+from .geometry import SpaceParams, radius_for_volume, surface_measure, volume_ratios
 from .numerics import GridSpec
 from .profiles import (FuncSegment, PowerSegment, RadialProfile, SampledSegment,
                        sampled_profile, zero_tail)
@@ -27,6 +27,7 @@ def area_ratio(s, sp: SpaceParams):
     return surface_measure(s, sp) / ((sp.n - 1) * s)
 
 
+@functools.cache
 def select_s0(sp: SpaceParams, eps: float) -> float:
     """Least node of a log grid from 1e-3 above which the area ratio stays
     within 1+eps.
@@ -35,7 +36,7 @@ def select_s0(sp: SpaceParams, eps: float) -> float:
     the bound (n >= 11 at eps = 0.01), it keeps its node ratio and doubles
     its number of steps, reaching 1e21, 1e45 and 1e93; the next doubling
     would pass 1e150, so ValueError when no suffix of the 1e93 grid is
-    within the bound.
+    within the bound. Memoized per (sp, eps); a call that raises is not.
     """
     # where 1 + eps rounds to 1, a ratio rounded to 1 far out would pass
     if not 1.0 + eps > 1.0:
@@ -135,31 +136,41 @@ _REFINE = 4
 
 @functools.lru_cache(maxsize=1)
 def _fine_grid(grid: GridSpec, sp: SpaceParams):
-    """The last grid refined _REFINE times, kept read-only: its nodes s, their
-    step h in ln s and their sphere areas, the volumes inverted coarse-to-fine."""
-    t = np.linspace(math.log(grid.s_min), math.log(grid.s_max), (grid.points - 1) * _REFINE + 1)
-    s = np.exp(t)
-    area = sphere_area_of_radius(radius_on_log_grid(s, _REFINE, sp), sp)
-    s.flags.writeable = area.flags.writeable = False
-    return s, t[1] - t[0], area
+    """The grid refined _REFINE times, uniform in sigma = ln(e^rho - 1), kept
+    read-only: its volumes s, step in sigma, Simpson weights ds/dsigma =
+    A drho/dsigma = A (1 - e^-rho) and sphere areas A. Only the ends are inverted."""
+    rho_ends = radius_for_volume(np.array([grid.s_min, grid.s_max]), sp)
+    sigma_ends = rho_ends + np.log(-np.expm1(-rho_ends))
+    sigma = np.linspace(sigma_ends[0], sigma_ends[1], (grid.points - 1) * _REFINE + 1)
+    rho = np.logaddexp(0.0, sigma)
+    s, g = volume_ratios(rho, 1.0, sp)
+    area = s / g
+    weights = area * -np.expm1(-rho)
+    s.flags.writeable = weights.flags.writeable = area.flags.writeable = False
+    return s, sigma[1] - sigma[0], weights, area
 
 
-def _inverse_pass(vals, s, h, area):
-    """Samples on the fine nodes s of the inverse of the negative Laplacian
-    of the source sampled there as vals; QuadratureError where the source
-    is NaN, a pass overflows or the Richardson estimate exceeds 1e-5."""
+def _inverse_pass(vals, grid, source=None):
+    """Sampled inverse of the negative Laplacian of the source sampled as vals
+    on the fine grid; QuadratureError where the source is NaN, a pass
+    overflows or the Richardson estimate exceeds 1e-5."""
+    s, h, weights, area = grid
     if np.any(np.isnan(vals)):
         raise numerics.QuadratureError("profile returned NaN on the grid")
     # a non-finite result is raised below, so numpy's warnings in the
     # passes would only repeat it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # inner pass: running integral V(r) of v, head treated as flat below the grid
-        V = numerics.cumulative_simpson(vals * s, h)
-        V += vals[0] * s[0]
+        # inner pass: running integral V of v, in closed form for power sums
+        # (whose kinks fall between nodes), else Simpson, flat below the grid
+        if source is not None and all(isinstance(seg, PowerSegment) for seg in source.segments):
+            V = np.asarray(source.running_integral(s), float)
+        else:
+            V = numerics.cumulative_simpson(vals * weights, h)
+            V += vals[0] * s[0]
 
-        integrand_out = V * s / area ** 2
-        # analytic 1/r^2-type tail beyond the grid (integrand decays like e^-t)
-        tail = integrand_out[-1]
+        integrand_out = V * weights / area ** 2
+        # analytic 1/r^2-type tail beyond the grid, V s / A^2 at the last node
+        tail = V[-1] * s[-1] / area[-1] ** 2
         # the descending integral is summed from the top: as the difference of
         # two ascending sums it would lose as many digits as it is orders of
         # magnitude below the integral over the whole grid
@@ -179,21 +190,20 @@ def _inverse_pass(vals, s, h, area):
         raise numerics.QuadratureError(
             f"grid too coarse for the inverse Laplacian (estimated error {disc:.2e}); "
             f"increase GridSpec.points")
-    return Tv
+    return sampled_profile(s, Tv, h, weights)
 
 
 def inverse_laplacian(v: RadialProfile, sp: SpaceParams, grid: GridSpec) -> RadialProfile:
     """Radial inverse of the negative Laplacian in the volume coordinate.
 
-    Computes, on a log grid, the descending integral of A(r)^(-2) times the
-    running integral of v; both cumulative passes use composite Simpson on
-    the log-uniform grid refined _REFINE times, the descending one summed
-    from the top of the grid. The result, which satisfies -(A^2 u')' = v, is
-    the sampled profile of every node of the refined grid; QuadratureError
-    where a pass overflows or the Richardson estimate exceeds 1e-5.
+    The descending integral of A(r)^(-2) times the running integral of v (in
+    closed form where v is all power sums), by Simpson in sigma = ln(e^rho - 1)
+    on the grid refined _REFINE times, summed from its top. The result, which
+    satisfies -(A^2 u')' = v, is the sampled profile of every fine node;
+    QuadratureError where a pass overflows or the Richardson estimate exceeds 1e-5.
     """
-    s, h, area = _fine_grid(grid, sp)
-    return sampled_profile(s, _inverse_pass(np.asarray(v(s), float), s, h, area))
+    fine = _fine_grid(grid, sp)
+    return _inverse_pass(np.asarray(v(fine[0]), float), fine, v)
 
 
 def inverse_laplacian_iterates(params: ExtremizerParams, k: int) -> list[RadialProfile]:
@@ -204,14 +214,14 @@ def inverse_laplacian_iterates(params: ExtremizerParams, k: int) -> list[RadialP
     grid = default_grid(params)
     iterates = [inverse_laplacian(extremizer_profile(params), params.sp, grid)] if k else []
     for _ in range(k - 1):
-        s, h, area = _fine_grid(grid, params.sp)
-        vals = _inverse_pass(iterates[-1].segments[1].values, s, h, area)
-        iterates.append(sampled_profile(s, vals))
+        iterates.append(_inverse_pass(iterates[-1].segments[1].values,
+                                      _fine_grid(grid, params.sp)))
     return iterates
 
 
 def default_grid(params: ExtremizerParams) -> GridSpec:
-    """4096 log-uniform nodes from s0 * 1e-6 to 2R * 1e3."""
+    """4096 nodes from s0 * 1e-6 to 2R * 1e3; the inverse Laplacian refines
+    them four times, uniform in sigma = ln(e^rho - 1)."""
     return GridSpec(params.s0 * 1e-6, 2.0 * params.R * 1e3, 4096)
 
 
@@ -233,14 +243,14 @@ def sandwich_decomposition(params: ExtremizerParams, iterate: RadialProfile,
     if len(segs) != 3 or not isinstance(segs[1], SampledSegment):
         raise ValueError("sandwich_decomposition needs an iterate from inverse_laplacian, "
                          "whose middle segment holds its fine-grid nodes and values")
-    nodes, values = segs[1].nodes, segs[1].values
+    seg = segs[1]
+    nodes, values = seg.nodes, seg.values
     f = extremizer_profile(params)(nodes)
     upper = c * f
     lower = (1.0 + eps) ** (-2.0 * index) * c * f
     clamped = np.clip(values, lower, upper)
     w = values - clamped
-    h = math.log(nodes[1] / nodes[0])
-    w_norm_p = numerics.cumulative_simpson(np.abs(w) ** p * nodes, h)[-1] ** (1.0 / p)
+    w_norm_p = numerics.cumulative_simpson(np.abs(w) ** p * seg.weights, seg.step)[-1] ** (1.0 / p)
     in_window = (nodes >= 10.0 * params.s0) & (nodes <= params.R / 10.0)
     frac_win = float(np.mean(w[in_window] == 0.0)) if np.any(in_window) else float("nan")
     return SandwichReport(w_norm_p, frac_win)

@@ -160,10 +160,12 @@ def log_sphere_area_of_radius(rho, sp: SpaceParams):
 def radius_for_volume(s, sp: SpaceParams):
     """Geodesic radius of the ball with hyperbolic volume s (inverse of ball_volume).
 
-    `_newton_radius` from the small-ball power law and the large-ball
-    exponential asymptote. Inverts every finite volume; DomainError, naming
-    the first such volume, for one that underflows to 0 in the iteration or
-    does not converge in 80 steps (a subnormal one).
+    Safeguarded vectorized Newton on ln(volume) from the small-ball power law
+    and the large-ball exponential asymptote, until the volume is within 1e-13
+    relative: the step is ln(q) g with q and g from `volume_ratios`, and each
+    step evaluates only the points not yet converged. Inverts every finite
+    volume; DomainError, naming the first such volume, for one that underflows
+    to 0 in the iteration or does not converge in 80 steps (a subnormal one).
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < 0):
@@ -179,18 +181,6 @@ def radius_for_volume(s, sp: SpaceParams):
         seed_small = np.minimum((sv / sp.omega_n) ** (1.0 / n), 3.0)
         seed_big = np.log(sv * (n - 1) * 2.0 ** (n - 1) / sp.sphere_area) / (n - 1)
         r = np.maximum(seed_small, np.where(np.isfinite(seed_big), seed_big, 0.0))
-    rho[pos] = _newton_radius(sv, r, sp)
-    if np.isscalar(s) or np.asarray(s).ndim == 0:
-        return float(rho[0])
-    return rho
-
-
-def _newton_radius(sv, r, sp: SpaceParams):
-    """Radii of the positive volumes sv by safeguarded vectorized Newton on
-    ln(volume) from the seeds r, until the volume is within 1e-13 relative:
-    the step is ln(q) g with q and g from `volume_ratios`, and each step
-    evaluates only the points not yet converged. DomainError as in
-    radius_for_volume."""
     r = np.maximum(r, 1e-300)
     live = np.arange(sv.size)  # indices of the points not yet converged
     r_live, s_live = r, sv
@@ -214,24 +204,9 @@ def _newton_radius(sv, r, sp: SpaceParams):
         else:
             raise DomainError(f"radius_for_volume: volume {float(sv[live[0]])!r} not "
                               f"within 1e-13 relative after 80 Newton steps")
-    return r
-
-
-def radius_on_log_grid(s, stride: int, sp: SpaceParams):
-    """radius_for_volume on log-uniform volumes s, len(s) - 1 a multiple of
-    stride. Only every stride-th node starts from the default seeds; each
-    node between is seeded by the cubic Hermite step in ln s through the two
-    around it, with the exact slope drho/d(ln s) = s / A(s)."""
-    s = np.asarray(s, dtype=float)
-    rho = np.empty_like(s)
-    rho[::stride] = coarse = radius_for_volume(s[::stride], sp)
-    # drho/d(ln s) times the coarse step, and the fractions of it between
-    slope = s[::stride] / sphere_area_of_radius(coarse, sp) * math.log(s[stride] / s[0])
-    u = (np.arange(1, stride) / stride)[:, None]
-    seeds = ((1 + 2 * u) * (1 - u) ** 2 * coarse[:-1] + u * (1 - u) ** 2 * slope[:-1]
-             + u * u * (3 - 2 * u) * coarse[1:] + u * u * (u - 1) * slope[1:])
-    between = np.arange(s.size) % stride != 0
-    rho[between] = _newton_radius(s[between], seeds.T.ravel(), sp)
+    rho[pos] = r
+    if np.isscalar(s) or np.asarray(s).ndim == 0:
+        return float(rho[0])
     return rho
 
 

@@ -1,7 +1,7 @@
 """Piecewise-analytic radial profiles of the volume coordinate.
 
 A RadialProfile partitions [0, inf) into segments: sums of power terms
-(covering constants, pure powers and affine pieces), log-grid samples with
+(covering constants, pure powers and affine pieces), grid samples with
 monotone piecewise-cubic (PCHIP) interpolation in ln s, and lazily
 evaluated callables (used by the rearrangement machinery). Every segment
 integrates itself through `primitive_from_lo`: in closed form for power sums
@@ -208,11 +208,12 @@ class _Pchip:
 
 
 class SampledSegment(Segment):
-    """Log-grid samples with monotone piecewise-cubic interpolation in
-    t = ln s. The interpolants, of the values and of the first and second
-    log-derivatives, are built on first use."""
+    """Samples on a grid uniform in x = ln s, or in another x of the given
+    `step` with the given `weights` ds/dx at the nodes, interpolated by
+    monotone piecewise cubics in t = ln s. The interpolants, of the values
+    and of the first and second log-derivatives, are built on first use."""
 
-    def __init__(self, nodes, values):
+    def __init__(self, nodes, values, step=None, weights=None):
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 4:
@@ -223,9 +224,13 @@ class SampledSegment(Segment):
         self.nodes = nodes
         self.values = values
         self._t = np.log(nodes)
-        self._h = self._t[1] - self._t[0]
-        if not np.allclose(np.diff(self._t), self._h, rtol=1e-8):
+        self._log_grid = step is None and weights is None
+        self.step = self._t[1] - self._t[0] if self._log_grid else float(step)
+        self.weights = nodes if self._log_grid else np.asarray(weights, dtype=float)
+        if self._log_grid and not np.allclose(np.diff(self._t), self.step, rtol=1e-8):
             raise ValueError("sampled nodes must be log-uniform")
+        if self.weights.shape != nodes.shape:
+            raise ValueError("sampled segment needs one weight per node")
 
     @functools.cached_property
     def _interp(self):
@@ -233,7 +238,11 @@ class SampledSegment(Segment):
 
     @functools.cached_property
     def _log_derivs(self):
-        w1, w2 = _fd_log_derivatives(self.values, self._h)
+        w1, w2 = _fd_log_derivatives(self.values, self.step)
+        if not self._log_grid:  # chain rule: t_x = (ds/dx) / s, t_xx by the same stencil
+            t1, t2 = self.weights / self.nodes, _fd_log_derivatives(self._t, self.step)[1]
+            w1 /= t1
+            w2 = (w2 - w1 * t2) / t1 ** 2
         return _Pchip(self._t, w1), _Pchip(self._t, w2)
 
     def value(self, s):
@@ -251,20 +260,20 @@ class SampledSegment(Segment):
         return (w2(t) - w1(t)) / s ** 2
 
     def lp_mass(self, p, tail_bound=None):
-        """Integral of |v|^p ds = |v|^p s dt over the segment, by composite
-        Simpson on the samples, checked against Simpson on every other
-        sample. None defers to the adaptive quadrature where the node count
-        is not 1 mod 4 or below 9 (both rules need an odd count of at least
-        five), the data change sign (|v|^p then has a kink between nodes), or
-        the two sums differ by more than numerics.REL_TOL relative, which a
-        non-finite sum always does."""
+        """Integral of |v|^p ds = |v|^p (ds/dx) dx over the segment, by
+        composite Simpson in x on the samples, checked against Simpson on
+        every other sample. None defers to the adaptive quadrature where the
+        node count is not 1 mod 4 or below 9 (both rules need an odd count of
+        at least five), the data change sign (|v|^p then has a kink between
+        nodes), or the two sums differ by more than numerics.REL_TOL relative,
+        which a non-finite sum always does."""
         if len(self.nodes) % 4 != 1 or len(self.nodes) < 9 or not (
                 np.all(self.values > 0) or np.all(self.values < 0)):
             return None
         with np.errstate(over="ignore", invalid="ignore"):
-            f = np.abs(self.values) ** p * self.nodes
-            full = numerics.cumulative_simpson(f, self._h)[-1]
-            half = numerics.cumulative_simpson(f[::2], 2.0 * self._h)[-1]
+            f = np.abs(self.values) ** p * self.weights
+            full = numerics.cumulative_simpson(f, self.step)[-1]
+            half = numerics.cumulative_simpson(f[::2], 2.0 * self.step)[-1]
             if not abs(full - half) <= numerics.REL_TOL * abs(full):
                 return None
         return float(full)
@@ -425,14 +434,14 @@ def indicator_profile(lo, hi, height=1.0):
     return RadialProfile(segs, tail_bound=np.inf)
 
 
-def sampled_profile(nodes, values):
-    """Profile from log-grid samples, with a constant head below the first
-    node and a 1/s power tail above the last node, matched to the first and
-    last samples."""
+def sampled_profile(nodes, values, step=None, weights=None):
+    """Profile from samples (log-uniform nodes, or a `step` and `weights` as
+    in SampledSegment), with a constant head below the first node and a 1/s
+    power tail above the last node, matched to the first and last samples."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     segs = [PowerSegment(0.0, nodes[0], [(values[0], 0.0)] if values[0] != 0 else [])]
-    segs.append(SampledSegment(nodes, values))
+    segs.append(SampledSegment(nodes, values, step, weights))
     c = values[-1] * nodes[-1]
     segs.append(PowerSegment(nodes[-1], np.inf, [(c, -1.0)] if c != 0 else []))
     return RadialProfile(segs, tail_bound=1.0)

@@ -11,14 +11,14 @@ from hpoincare.extremizers import (ExtremizerParams, area_ratio,
                                    sandwich_decomposition,
                                    second_order_majorant, select_s0)
 from hpoincare import extremizers, geometry
-from hpoincare.geometry import (SpaceParams, ball_volume, laplacian_volume_coord,
-                                radius_for_volume, radius_on_log_grid, surface_measure)
+from hpoincare.geometry import (SpaceParams, laplacian_volume_coord, radius_for_volume,
+                                surface_measure)
 from hpoincare.numerics import (DomainError, GridSpec, QuadratureError, cumulative_simpson,
                                 integrate)
 from hpoincare.profiles import (PowerSegment, RadialProfile, constant_profile,
-                                indicator_profile, zero_tail)
+                                indicator_profile, sampled_profile, zero_tail)
 from hpoincare.rearrangement import decreasing_rearrangement, maximal_function
-from hpoincare.variational import lp_norm_volume
+from hpoincare.variational import PoincareParams, lp_norm_volume, rayleigh_quotient
 
 SP3 = SpaceParams(3)
 
@@ -60,9 +60,20 @@ class TestSelectS0:
         assert area_ratio(s0 / ratio, sp) > 1.01
 
     def test_grid_ends_before_1e150(self):
-        # the area ratio of n = 16 is still 1 + 1.6e-13 at s = 1e93
-        with pytest.raises(ValueError, match="probe grid too short"):
-            select_s0(SpaceParams(16), 1e-13)
+        # the area ratio of n = 16 is still 1 + 1.6e-13 at s = 1e93; a
+        # failed call is not memoized, so every call raises
+        for _ in range(2):
+            with pytest.raises(ValueError, match="probe grid too short"):
+                select_s0(SpaceParams(16), 1e-13)
+
+    def test_second_call_is_memoized(self, monkeypatch):
+        select_s0.cache_clear()
+        passed = count_primitive_points(monkeypatch)
+        first = select_s0(SpaceParams(8), 0.05)
+        assert sum(passed) > 0
+        passed.clear()
+        assert select_s0(SpaceParams(8), 0.05) is first
+        assert passed == []
 
 
 class TestExtremizerProfile:
@@ -162,6 +173,18 @@ class TestInverseLaplacian:
                               tail_decay=2.0)
         assert values[idx] == pytest.approx(want, rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("n, p, log_ratio, k", [
+        (3, 3.0, 10.0, 1), (3, 2.0, 10.0, 1), (3, 1.2, 55.0, 1), (8, 1.5, 57.0, 2),
+        (2, 6.0, 30.0, 2), (16, 6.0, 60.0, 2), (2, 1.2, 40.0, 1), (8, 3.0, 20.0, 2)])
+    def test_quotients_match_a_finer_grid(self, n, p, log_ratio, k, monkeypatch):
+        # the m = 2k quotient on the default grid against 8 times as many
+        # steps between the same ends; the log-uniform grid was up to 1.1e-7 off
+        ext = ExtremizerParams.create(SpaceParams(n), p, 0.05, log_ratio)
+        params = PoincareParams(n, 2 * k, p)
+        coarse = rayleigh_quotient(params, ext)
+        monkeypatch.setattr(extremizers, "default_grid", finer_grid)
+        assert coarse == pytest.approx(rayleigh_quotient(params, ext), rel=1e-9, abs=0.0)
+
     def test_coarse_grid_rejected(self):
         params = make_params(10.0, eps=0.05)
         f = extremizer_profile(params)
@@ -226,6 +249,23 @@ class TestSandwich:
         assert reps[1].w_norm_p <= 1.5 * reps[0].w_norm_p
 
 
+    @pytest.mark.parametrize("log_ratio", [20.0, 40.0])
+    def test_remainder_norm_matches_a_finer_grid(self, log_ratio):
+        # the norm integrates on the iterate's own nodes and weights, in
+        # sigma: against the iterate of an 8 times finer grid, resampled on
+        # log-uniform nodes, whose norm integrates in ln s. With weights s and
+        # a step in ln s on sigma nodes it reads 21 % high. Simpson across the
+        # kinks of the clamp, which fall between nodes, leaves the default
+        # grid 1.3e-6 (L = 40) to 3.5e-6 (L = 20) from the finer one
+        params = make_params(log_ratio, eps=0.05)
+        f = extremizer_profile(params)
+        norm = sandwich_decomposition(params, inverse_laplacian(f, SP3, default_grid(params)),
+                                      1).w_norm_p
+        finer = inverse_laplacian(f, SP3, finer_grid(params))
+        nodes = np.geomspace(*finer.segments[1].nodes[[0, -1]], finer.segments[1].nodes.size)
+        ref = sandwich_decomposition(params, sampled_profile(nodes, finer(nodes)), 1).w_norm_p
+        assert norm == pytest.approx(ref, rel=1e-5, abs=0.0)
+
     def test_needs_inverse_laplacian_result(self):
         params = make_params(20.0, eps=0.05)
         with pytest.raises(ValueError, match="inverse_laplacian"):
@@ -279,14 +319,9 @@ class TestSecondOrderMajorant:
         assert np.all(ustar(s) <= second_order_majorant(f, SP3)(s))
 
 
-def fine_nodes(grid):
-    """The inverse Laplacian's nodes: the grid refined four times."""
-    return np.exp(np.linspace(math.log(grid.s_min), math.log(grid.s_max),
-                              (grid.points - 1) * 4 + 1))
-
-
 def count_primitive_points(monkeypatch):
-    """Points passed to the volume kernel geometry.volume_ratios from now on."""
+    """Points passed to the volume kernel geometry.volume_ratios from now
+    on, at its binding in geometry and in extremizers."""
     passed = []
     kernel = geometry.volume_ratios
 
@@ -295,7 +330,14 @@ def count_primitive_points(monkeypatch):
         return kernel(rho, s, sp)
 
     monkeypatch.setattr(geometry, "volume_ratios", counting)
+    monkeypatch.setattr(extremizers, "volume_ratios", counting)
     return passed
+
+
+def finer_grid(params, factor=8):
+    """default_grid with factor times as many steps between the same ends."""
+    grid = default_grid(params)
+    return GridSpec(grid.s_min, grid.s_max, (grid.points - 1) * factor + 1)
 
 
 class TestFineGrid:
@@ -303,38 +345,47 @@ class TestFineGrid:
     @pytest.mark.parametrize("log_ratio", [10.0, 40.0, 60.0])
     @pytest.mark.parametrize("eps", [0.01, 0.05])
     def test_radii_meet_the_volume_check(self, n, log_ratio, eps):
-        # every node, coarse or seeded between, converges to the 1e-13 test
+        # the two inverted ends meet the 1e-13 volume test; every node
+        # between comes forward with its sphere area and its weight ds/dsigma
         sp = SpaceParams(n)
         try:
             params = ExtremizerParams.create(sp, 2.0, eps, log_ratio)
         except ValueError:
             pytest.skip("select_s0 finds no s0 at this eps")
-        s = fine_nodes(default_grid(params))
-        vol = ball_volume(radius_on_log_grid(s, 4, sp), sp)
-        assert np.max(np.abs(vol - s) / s) <= 1e-13
+        grid = default_grid(params)
+        s, h, weights, area = extremizers._fine_grid(grid, sp)
+        assert s.size == (grid.points - 1) * 4 + 1 and np.all(np.diff(s) > 0)
+        assert abs(s[0] - grid.s_min) <= 1e-13 * grid.s_min
+        assert abs(s[-1] - grid.s_max) <= 1e-13 * grid.s_max
+        assert area[::409] == pytest.approx(surface_measure(s[::409], sp), rel=1e-12, abs=0.0)
+        assert cumulative_simpson(weights, h)[-1] == pytest.approx(s[-1] - s[0], rel=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("log_ratio", [10.0, 57.0])
-    def test_seeded_nodes_take_at_most_two_evaluations(self, n, log_ratio, monkeypatch):
-        # the Hermite seed leaves at most one Newton step and its check
+    def test_nodes_take_one_evaluation(self, n, log_ratio, monkeypatch):
+        # one kernel call over the fine nodes; only the two ends are
+        # inverted, by Newton from the cold seeds
         sp = SpaceParams(n)
-        s = fine_nodes(default_grid(ExtremizerParams.create(sp, 2.0, 0.05, log_ratio)))
+        grid = default_grid(ExtremizerParams.create(sp, 2.0, 0.05, log_ratio))
+        extremizers._fine_grid.cache_clear()
         passed = count_primitive_points(monkeypatch)
-        radius_for_volume(s[::4], sp)
-        coarse = sum(passed)
-        radius_on_log_grid(s, 4, sp)
-        assert sum(passed) - 2 * coarse <= 2 * (s.size - s[::4].size)
+        s = extremizers._fine_grid(grid, sp)[0]
+        assert passed.count(s.size) == 1
+        assert sum(passed) - s.size <= 2 * 5
 
     def test_iterates_invert_one_grid(self, monkeypatch):
-        # the second iterate reads the first one's grid and node values
+        # the second iterate reads the first one's grid and node values: one
+        # two-volume inversion and one kernel call over the nodes in all
         params = make_params(10.0, eps=0.05)
+        inversions = []
+        monkeypatch.setattr(extremizers, "radius_for_volume", lambda s, sp: (
+            inversions.append(np.size(s)) or radius_for_volume(s, sp)))
         passed = count_primitive_points(monkeypatch)
-        radius_on_log_grid(fine_nodes(default_grid(params)), 4, SP3)
-        one_grid = sum(passed)
-        passed.clear()
-        extremizers._fine_grid.cache_clear()  # a grid kept from before is inverted already
+        extremizers._fine_grid.cache_clear()  # a grid kept from before is built already
         assert len(inverse_laplacian_iterates(params, 2)) == 2
-        assert sum(passed) == one_grid
+        assert inversions == [2]
+        nodes = (default_grid(params).points - 1) * 4 + 1
+        assert [k for k in passed if k > 2] == [nodes]
 
     def test_first_pass_calls_inverse_laplacian(self, monkeypatch):
         # a wrapper on the module's name (the per-layer tracing of bench/)

@@ -50,10 +50,10 @@ GOLDEN = {
     "sharpness_sweep_m2_p3": (
         "sharpness-sweep --n 3 --m 2 --p 3 --log-ratios 10,20,40 --format csv",
         "R,ln(R/s0),quotient,quotient_over_C\n"
-        "5.91552416850603092e+06,1.00000000000000000e+01,9.58781869599261038e-01,8.52250550754898750e-01\n"
-        "1.30298090755950531e+11,2.00000000000000000e+01,1.04043343638822416e+00,9.24829721233976998e-01\n"
-        "6.32160986631333315e+19,4.00000000000000000e+01,1.08302877801798481e+00,9.62692247127097556e-01\n"
-        "extrapolated,,1.12562411964774545e+00,1.00055477302021822e+00\n"),
+        "5.91552416850603092e+06,1.00000000000000000e+01,9.58781826040622676e-01,8.52250512036109020e-01\n"
+        "1.30298090755950531e+11,2.00000000000000000e+01,1.04043343884844197e+00,9.24829723420837357e-01\n"
+        "6.32160986631333315e+19,4.00000000000000000e+01,1.08302875458188153e+00,9.62692226295005837e-01\n"
+        "extrapolated,,1.12562407031532108e+00,1.00055472916917432e+00\n"),
     "hardy_demo_p15": (
         "hardy-demo --p 1.5 --count 4 --seed 3 --format csv",
         "profile-id,lhs,rhs,ratio,holds\n"
