@@ -15,6 +15,8 @@
 # kernel (Prescott) and must print the same bytes: no quadrature result may
 # depend on the BLAS kernel. On an OpenBLAS built without DYNAMIC_ARCH, or
 # another BLAS, the variable is ignored and this check passes trivially.
+# selfcheck must print the same bytes twice: its Hardy, g-oracle and
+# t-inversion suites go through the rearrangement's seeded root solves.
 # Usage: sh .github/console-script.sh  (after `python -m pip install -e .`)
 set -eu
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
@@ -56,4 +58,7 @@ hpoincare sharpness-sweep --n 3 --m 4 --p 1.5 --log-ratios 10,20,40 --format jso
 hpoincare sharpness-sweep --n 3 --m 4 --p 1.5 --log-ratios 10,20,40 --format json \
     > "$tmp/sweep-6.json"
 cmp "$tmp/sweep-5.json" "$tmp/sweep-6.json"
-hpoincare selfcheck
+hpoincare selfcheck > "$tmp/selfcheck-1.txt"
+hpoincare selfcheck > "$tmp/selfcheck-2.txt"
+cmp "$tmp/selfcheck-1.txt" "$tmp/selfcheck-2.txt"
+cat "$tmp/selfcheck-1.txt"

@@ -301,16 +301,20 @@ class FuncSegment(Segment):
             if decay <= 1:
                 raise numerics.QuadratureError(
                     f"divergent |v|^p tail on callable segment from {self.s_lo}")
-            # majorant of the mass beyond T, for T x4 until REL_TOL of its first
-            majorant = lambda T: float(fn(np.array([T]))[0]) * T / (decay - 1.0)
-            hi = max(2.0 * self.s_lo, 1.0)
-            tail = majorant(hi)
-            stop = numerics.REL_TOL * tail
-            for _ in range(300):
-                if tail <= stop or hi > 1e280:
+            # majorant of the mass beyond T, for T = T_0 4^k, k <= 300, until
+            # REL_TOL of its first or past 1e280; 16 exact rungs per call
+            start = max(2.0 * self.s_lo, 1.0)
+            for k in range(0, 301, 16):
+                rungs = start * 4.0 ** np.arange(k, min(k + 16, 301))
+                rungs = rungs[:np.searchsorted(rungs, 1e280, side="right") + 1]
+                tails = fn(rungs) * rungs / (decay - 1.0)
+                if k == 0:
+                    stop = numerics.REL_TOL * tails[0]
+                done = np.flatnonzero((tails <= stop) | (rungs > 1e280))
+                if done.size or k + 16 > 300:
+                    last = done[0] if done.size else -1
+                    hi, tail = float(rungs[last]), float(tails[last])
                     break
-                hi *= 4.0
-                tail = majorant(hi)
         else:
             tail = 0.0
         lo = self.s_lo if self.s_lo > 0 else hi * 1e-9

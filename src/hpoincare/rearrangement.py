@@ -7,14 +7,17 @@ The distribution function mu of |v| is summed in closed form over the
 monotone pieces of v, cut where v or v' changes sign; where they show v
 >= 0 and never rising from s = 0, v is its own rearrangement f*. Otherwise
 f* reads a table of mu at the critical values of |v| (the ends of the
-pieces) and just below each: a level t inside a jump of mu lies on a
-plateau of f*, which is returned exactly; elsewhere mu is strictly
-monotone on the bracket and f*(t) is refined by a vectorized Illinois
-(safeguarded regula falsi) iteration in ln y. The primitive of f* comes
-from the layer-cake identity int_0^s f* = int_{|v| > y} |v| + y (s - mu(y))
-with y = f*(s), so running averages and Hardy checks of f* need no
+pieces), just below each and at levels sampled inside each ramp between
+them: a level t inside a jump of mu lies on a plateau of f*, which is
+returned exactly; elsewhere mu is strictly monotone on the ramp and f*(t)
+is refined by a vectorized Illinois (safeguarded regula falsi) iteration in
+ln y, started from the two sampled levels around t. The primitive of f*
+comes from the layer-cake identity int_0^s f* = int_{|v| > y} |v| + y (s -
+mu(y)) with y = f*(s), so running averages and Hardy checks of f* need no
 quadrature grid over f*. Distribution functions of f* itself invert f* on s
-with the same Illinois iteration, independently of the mu of its source.
+with the same Illinois iteration, each level started from the cell of one
+vectorized probe of f* where f* crosses it, independently of the mu of its
+source.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ class _Piece:
 
 
 _PROBE = 129
+_CELLS = 16  # probe cells of a piece's solve (rungs per call on an infinite one)
+_SAMPLES = 32  # levels of a level table sampled inside each ramp
 
 # monotone pieces of each profile, computed once per profile
 _PIECES = weakref.WeakKeyDictionary()
@@ -132,23 +137,27 @@ def _invert_piece(piece, y):
 
 def _solve_piece(piece, y):
     """Abscissae where |v| = y on a piece without a closed-form inverse, by
-    the Illinois iteration in ln s; on an infinite piece the bracket is
-    first widened by factors of 4."""
+    the Illinois iteration in ln s, each level started from the cell of a
+    probe grid where |v| - y changes sign. The grid is _CELLS + 1 points
+    geometric over a finite piece, or on an infinite piece its start and the
+    rungs max(2a, 1) 4^k, _CELLS at a time, until one is past every level; a
+    piece from s = 0 starts at 1e-15 of its end or first rung."""
     absv = lambda s: np.abs(piece.seg.value(s))
-    lo = np.full_like(y, piece.a if piece.a > 0 else piece.b * 1e-15)
+    sign = 1.0 if piece.increasing else -1.0  # sign * |v| rises along the piece
     if np.isinf(piece.b):
-        hi = np.full_like(y, max(2 * piece.a, 1.0))
-        for _ in range(300):
-            need = absv(hi) > y
-            if not np.any(need):
-                break
-            hi = np.where(need, hi * 4.0, hi)
+        rung = max(2 * piece.a, 1.0)
+        xs = np.append(piece.a or rung * 1e-15, rung * 4.0 ** np.arange(_CELLS - 1))
+        r = absv(xs)
+        while sign * r[-1] < np.max(sign * y) and xs.size <= 300:
+            more = xs[-1] * 4.0 ** np.arange(1, _CELLS + 1)
+            xs, r = np.append(xs, more), np.append(r, absv(more))
     else:
-        hi = np.full_like(y, piece.b)
-    resid = lambda x, i: absv(np.exp(x)) - y[i]
-    every = np.arange(y.size)
-    lo, hi = np.log(lo), np.log(hi)
-    return np.exp(illinois(resid, lo, hi, resid(lo, every), resid(hi, every),
+        xs = np.geomspace(piece.a or piece.b * 1e-15, piece.b, _CELLS + 1)
+        r = absv(xs)
+    i = np.searchsorted(np.maximum.accumulate(sign * r), sign * y, side="right") - 1
+    i = np.clip(i, 0, xs.size - 2)
+    resid = lambda x, k: absv(np.exp(x)) - y[k]
+    return np.exp(illinois(resid, np.log(xs[i]), np.log(xs[i + 1]), r[i] - y, r[i + 1] - y,
                            4 * np.spacing(y)))
 
 
@@ -215,13 +224,14 @@ def _is_own_rearrangement(pieces, sup):
 class _LevelTable:
     """f*(t) = inf{y : mu(y) <= t} of a profile v, from mu at the critical
     values c_0 = sup > c_1 > ... > c_K = floor of |v| (the ends of its
-    monotone pieces) and just below each.
+    monotone pieces), just below each and at _SAMPLES levels geometric
+    inside each ramp (c_{k+1}, c_k), all from one call of mu.
 
     mu(c_k) <= t < mu(c_k-) is a plateau of f*, where f*(t) = c_k exactly.
     Between mu(c_k-) and mu(c_{k+1}), mu is continuous and strictly
     decreasing on (c_{k+1}, c_k), and f*(t) is its root there (Illinois in
-    ln y, stopped at a residual of 4 ulp of t or a bracket of 4 ulp of
-    ln y). f* is 0 from mu(floor) on.
+    ln y from the two sampled levels around t, stopped at a residual of
+    4 ulp of t or a bracket of 4 ulp of ln y). f* is 0 from mu(floor) on.
     """
 
     def __init__(self, v: RadialProfile, sup: float):
@@ -231,11 +241,20 @@ class _LevelTable:
         crit = {sup} | {p.va for p in pieces} | {p.vb for p in pieces}
         self.levels = np.array(sorted((c for c in crit if self.floor < c <= sup),
                                       reverse=True) + [self.floor])
-        self.mu = _measure_above(v, self.levels)
-        self.mu_below = _measure_above(v, np.nextafter(self.levels, 0.0))
+        # row k: c_k, c_k- and samples of the ramp below c_k (none below the
+        # floor), kept in [c_{k+1}, c_k-] so that y descends along the rows
+        top, bottom = self.levels[:-1], self.levels[1:]
+        rows = np.empty((len(self.levels), _SAMPLES + 2))
+        rows[:, 0], rows[:, 1] = self.levels, np.nextafter(self.levels, 0.0)
+        rows[:-1, 2:] = np.maximum(np.geomspace(top, bottom, _SAMPLES + 2, axis=1)[:, 1:-1],
+                                   bottom[:, None])
+        self.ys = np.minimum.accumulate(rows.ravel()[:-_SAMPLES])
+        self.mus = _measure_above(v, self.ys)
+        self.mu, self.mu_below = self.mus[::_SAMPLES + 2], self.mus[1::_SAMPLES + 2]
         # mu(c_0) <= mu(c_0-) <= mu(c_1) <= ..., made monotone against rounding
         self.breaks = np.maximum.accumulate(
             np.column_stack([self.mu, self.mu_below]).ravel())
+        self.cells = np.maximum.accumulate(self.mus)
         self.dead = 2 * (len(self.levels) - 1)  # break index of mu(floor)
 
     def bracket(self, t):
@@ -251,11 +270,14 @@ class _LevelTable:
         out[plateau] = self.levels[k[plateau] // 2]
         ramp = (k % 2 == 1) & (k < self.dead)
         if np.any(ramp):
-            j, tr = k[ramp] // 2, t[ramp]
+            tr = t[ramp]
+            # the table cell holding t, kept inside its ramp from c_j- to c_{j+1}
+            row = (k[ramp] // 2) * (_SAMPLES + 2)
+            c = np.clip(np.searchsorted(self.cells, tr, side="right") - 1,
+                        row + 1, row + _SAMPLES + 1)
             resid = lambda x, i: _measure_above(self.source, np.exp(x)) - tr[i]
-            x = illinois(resid, np.log(self.levels[j + 1]),
-                         np.log(np.nextafter(self.levels[j], 0.0)),
-                         self.mu[j + 1] - tr, self.mu_below[j] - tr, 4 * np.spacing(tr))
+            x = illinois(resid, np.log(self.ys[c + 1]), np.log(self.ys[c]),
+                         self.mus[c + 1] - tr, self.mus[c] - tr, 4 * np.spacing(tr))
             out[ramp] = np.exp(x)
         return out
 

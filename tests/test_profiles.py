@@ -5,7 +5,7 @@ import pytest
 
 from hpoincare.extremizers import ExtremizerParams, inverse_laplacian_iterates
 from hpoincare.geometry import SpaceParams
-from hpoincare.numerics import QuadratureError, integrate
+from hpoincare.numerics import REL_TOL, QuadratureError, batched_gauss, integrate
 from hpoincare.profiles import (FuncSegment, PowerSegment, RadialProfile,
                                 SampledSegment, _fd_log_derivatives, _Pchip,
                                 constant_profile, indicator_profile,
@@ -207,6 +207,35 @@ class TestRadialProfile:
                              tail_bound=1.0)
         assert prof.lp_power(2.0) == pytest.approx(c1 ** 2 + c1 * c2 + c2 ** 2 / 3,
                                                    rel=1e-9)
+
+    @pytest.mark.parametrize("s_lo, tail_bound", [(0.3, 1.5), (0.0, 0.6), (7.0, 2.0)])
+    def test_callable_tail_rungs_match_scalar_loop(self, s_lo, tail_bound):
+        # the x4 tail search evaluates its rungs in blocks; the stopping rung
+        # and the mass are those of one scalar call per rung
+        sizes = []
+        v = lambda s: sizes.append(np.size(s)) or (1.0 + s) ** -tail_bound * (2.0 + 1.0 / (1.0 + s))
+        seg = FuncSegment(s_lo, np.inf, v, None)
+        p = 2.0
+        got = seg.lp_mass(p, tail_bound=tail_bound)
+        calls = len(sizes)
+        fn = lambda s: np.abs(v(s)) ** p
+        decay = tail_bound * p
+        majorant = lambda T: float(fn(np.array([T]))[0]) * T / (decay - 1.0)
+        hi = max(2.0 * s_lo, 1.0)
+        tail = majorant(hi)
+        stop = REL_TOL * tail
+        for _ in range(300):
+            if tail <= stop or hi > 1e280:
+                break
+            hi *= 4.0
+            tail = majorant(hi)
+        lo = s_lo if s_lo > 0 else hi * 1e-9
+        edges = np.geomspace(lo, hi, max(int(np.ceil(np.log(hi / lo) / 0.25)), 4) + 1)
+        want = float(np.sum(batched_gauss(fn, edges[:-1], edges[1:], 16)))
+        if s_lo == 0:
+            want += float(fn(np.array([lo * 0.5]))[0]) * lo
+        assert got == want + tail
+        assert calls < len(sizes) - calls
 
     def test_lp_power_divergent_tail_raises(self):
         prof = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]),

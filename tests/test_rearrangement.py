@@ -10,8 +10,10 @@ from hpoincare.extremizers import (ExtremizerParams, averaged_extremizer_profile
                                    inverse_laplacian_iterates)
 from hpoincare.geometry import SpaceParams
 from hpoincare.numerics import DomainError, GridSpec, QuadratureError, integrate
-from hpoincare.profiles import (PowerSegment, RadialProfile, constant_profile,
-                                indicator_profile, zero_tail)
+from hpoincare.profiles import (FuncSegment, PowerSegment, RadialProfile,
+                                constant_profile, indicator_profile, sampled_profile,
+                                zero_tail)
+from hpoincare import rearrangement as rr
 from hpoincare.rearrangement import (_segment_cuts, decreasing_rearrangement,
                                      distribution_function, hardy_check,
                                      maximal_function)
@@ -58,6 +60,67 @@ class TestDistributionFunction:
         t = np.array([1e-3, 0.1])
         mu = distribution_function(prof, t)
         assert np.all(np.isfinite(mu)) and mu[0] > mu[1]
+
+
+def exp_profile(start, end):
+    """1 on [0, start), then exp(start - s) on [start, end) (a FuncSegment),
+    then 0: |v| > y on a set of measure start - ln y while that is < end."""
+    exp = lambda s: np.exp(start - s)
+    segs = [PowerSegment(0, start, [(1.0, 0.0)])] if start else []
+    segs.append(FuncSegment(start, end, exp, lambda s: -exp(s)))
+    return RadialProfile(segs + ([] if np.isinf(end) else [zero_tail(end)]), tail_bound=5.0)
+
+
+class TestGenericPieces:
+    # pieces without a closed-form inverse: each level is solved from the
+    # cell of a probe grid (finite) or of the x4 rungs (infinite)
+
+    @pytest.mark.parametrize("start", [0.0, 1.0])
+    @pytest.mark.parametrize("end", [4.0, np.inf])
+    def test_func_segment_closed_form(self, start, end):
+        # an infinite piece from s = 0 starts its first cell at 1e-15 of the
+        # first rung; from inf * 1e-15 it read 1, 4, 16 at the first levels
+        y = np.array([0.5, 0.1, 1e-3, 0.03, 1e-9])
+        got = distribution_function(exp_profile(start, end), y)
+        assert np.allclose(got, np.minimum(start - np.log(y), end), rtol=1e-14, atol=1e-13)
+
+    def test_sampled_segment_closed_form(self):
+        # v = 2 - ln(s) / 2 on log-uniform nodes over [1, 10], which the
+        # monotone cubic reproduces to rounding; 2 below s = 1, v(10) 10/s beyond
+        nodes = np.geomspace(1.0, 10.0, 33)
+        prof = sampled_profile(nodes, 2.0 - 0.5 * np.log(nodes))
+        end = 10.0 * (2.0 - 0.5 * math.log(10.0))
+        y = np.array([1.9, 1.5, 1.0, 0.8, 0.1])
+        want = np.where(y > end / 10.0, np.exp(2.0 * (2.0 - y)), end / y)
+        assert np.allclose(distribution_function(prof, y), want, rtol=1e-12, atol=0)
+
+    def test_rungs_share_calls(self, monkeypatch):
+        # 1/s from s = 1 crosses 1e-9 past the 15th rung 2 * 4^14: the rungs
+        # take two calls of the segment before the Illinois iteration starts
+        calls = []
+        prof = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]),
+                              FuncSegment(1, np.inf, lambda s: calls.append(1) or 1.0 / s,
+                                          lambda s: -1.0 / s ** 2)], tail_bound=1.0)
+        distribution_function(prof, 0.5)  # the monotone pieces, once per profile
+        calls.clear()
+        started = []
+        illinois = rr.illinois
+        monkeypatch.setattr(rr, "illinois", lambda *a: started.append(len(calls)) or illinois(*a))
+        assert distribution_function(prof, 1e-9) == pytest.approx(1e9, rel=1e-14)
+        assert len(started) == 1 and started[0] <= 2
+
+    def test_tail_ramp_measure_calls(self, monkeypatch):
+        # on the ramp of f* from 1.1 down to the floor 2e-18, f* = 2 5^1.5 s^-1.5
+        # from one cell of the sampled table: at most 10 calls of mu per value
+        table = decreasing_rearrangement(jump_power_tail(1.0)).segments[-1].fn
+        calls = []
+        measure = rr._measure_above
+        monkeypatch.setattr(rr, "_measure_above", lambda v, y: calls.append(1) or measure(v, y))
+        for y in (1.0, 1e-3, 1e-8, 1e-15):
+            s = (2 * 5 ** 1.5 / y) ** (2 / 3)
+            calls.clear()
+            assert table(np.array([s]))[0] == pytest.approx(y, rel=1e-13)
+            assert len(calls) <= 10
 
 
 class TestInfinitePieces:
