@@ -17,10 +17,14 @@
 # another BLAS, the variable is ignored and this check passes trivially.
 # selfcheck must print the same bytes twice: its Hardy, g-oracle and
 # t-inversion suites go through the rearrangement's seeded root solves.
+# A non-finite exponent must be a usage error (exit 2), not a NaN constant.
 # Usage: sh .github/console-script.sh  (after `python -m pip install -e .`)
 set -eu
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
 hpoincare constant --n 3 --m 2 --p 2
+status=0
+hpoincare constant --p nan 2> /dev/null || status=$?
+test "$status" -eq 2
 hpoincare verify-inequality --n 3 --m 1 --p 2 --count 20 --seed 1 --format csv > "$tmp/verify-1.csv"
 OPENBLAS_CORETYPE=Prescott hpoincare verify-inequality --n 3 --m 1 --p 2 --count 20 --seed 1 \
     --format csv > "$tmp/verify-2.csv"

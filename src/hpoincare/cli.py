@@ -3,7 +3,15 @@
 Subcommands: constant, verify-inequality, sharpness-sweep, hardy-demo,
 selfcheck. Output formats, for all but selfcheck: table (default), csv,
 json. Exit status: 0 if all checks passed, 1 if a mathematical check
-failed or a computation did not converge, 2 on usage errors.
+failed or a computation did not converge, 2 on usage errors: an argument
+outside its domain (p must be finite and exceed 1, verify-inequality needs
+--count >= 1 and hardy-demo --count >= 0) or an output file that cannot be
+opened.
+
+Each subcommand imports the modules it runs inside its own function, so a
+process loads only those: `constant` needs the standard library alone and
+starts without numpy, and `hardy-demo` loads neither the geometry nor the
+extremizers.
 """
 
 from __future__ import annotations
@@ -12,12 +20,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import extremizers, rearrangement, variational
-from .geometry import SpaceParams, ball_volume, radius_for_volume
-from .numerics import MAX_SPLITS, REL_TOL, DomainError, QuadratureError
-from .profiles import PowerSegment, RadialProfile, indicator_profile, zero_tail
+from .constants import DomainError, QuadratureError, sharp_constant
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,7 +55,7 @@ def _emit(columns, rows, fmt, out, config=None):
 
 
 def cmd_constant(args, out):
-    c = variational.sharp_constant(args.n, args.m, args.p)
+    c = sharp_constant(args.n, args.m, args.p)
     pc = args.p / (args.p - 1.0)
     branch = "even" if args.m % 2 == 0 else "odd"
     if args.format == "table":
@@ -66,8 +69,12 @@ def cmd_constant(args, out):
 
 
 def cmd_verify_inequality(args, out):
+    from . import variational
+
     if args.m > 2:
         raise DomainError("the random test-function family supports m <= 2")
+    if args.count < 1:
+        raise DomainError(f"--count must be at least 1, not {args.count}")
     params = variational.PoincareParams(args.n, args.m, args.p)
     rows = []
     failures = 0
@@ -92,6 +99,8 @@ def cmd_verify_inequality(args, out):
 
 def _parse_log_range(spec):
     """Comma list '10,20,40' or range 'start:stop:count' of ln(R/s0)."""
+    import numpy as np
+
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -107,6 +116,8 @@ def _parse_log_range(spec):
 
 
 def cmd_sharpness_sweep(args, out):
+    from . import extremizers, variational
+
     log_ratios = _parse_log_range(args.log_ratios)
     res = variational.sharpness_sweep(args.n, args.m, args.p, eps=args.eps,
                                       log_ratios=log_ratios)
@@ -124,6 +135,10 @@ def cmd_sharpness_sweep(args, out):
 
 def _random_profile(seed):
     """Seeded random piecewise-constant decreasing-or-not positive profile."""
+    import numpy as np
+
+    from .profiles import PowerSegment, RadialProfile, zero_tail
+
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 6))
     edges = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 10.0, k))])
@@ -136,6 +151,11 @@ def _random_profile(seed):
 
 
 def cmd_hardy_demo(args, out):
+    from . import rearrangement
+    from .profiles import indicator_profile
+
+    if args.count < 0:
+        raise DomainError(f"--count must be at least 0, not {args.count}")
     rows = []
     failures = 0
     profiles = [("indicator", indicator_profile(0.0, 1.0))]
@@ -155,6 +175,11 @@ def cmd_hardy_demo(args, out):
 
 def _selfcheck_suites():
     """Yield (suite name, callable returning (ok, detail))."""
+    import numpy as np
+
+    from . import extremizers, rearrangement
+    from .geometry import SpaceParams, ball_volume, laplacian_volume_coord, radius_for_volume
+
     sp3 = SpaceParams(3)
 
     def suite_roundtrip():
@@ -196,7 +221,6 @@ def _selfcheck_suites():
         return err <= 1e-10, f"running average vs closed form rel err {err:.3e}"
 
     def suite_t_inversion():
-        from .geometry import laplacian_volume_coord
         params = extremizers.ExtremizerParams.create(sp3, 2.0, 0.05, 30.0)
         v1 = extremizers.inverse_laplacian_iterates(params, 1)[0]
         f = extremizers.extremizer_profile(params)
@@ -226,6 +250,8 @@ def _selfcheck_suites():
 
 
 def cmd_selfcheck(args, out):
+    from .numerics import MAX_SPLITS, REL_TOL
+
     out.write(f"tolerances: rel_tol={REL_TOL:g} max_subdivisions={MAX_SPLITS}\n")
     failures = 0
     for name, fn in _selfcheck_suites():
@@ -290,6 +316,15 @@ def build_parser():
     return ap
 
 
+def _open_output(path):
+    """The output file, LF line ends, UTF-8; a path that cannot be opened
+    is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValueError(f"cannot open the output file: {exc}") from None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -298,7 +333,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            with _open_output(args.output) as fh:
                 return args.func(args, fh)
         return args.func(args, sys.stdout)
     except (DomainError, ValueError) as exc:

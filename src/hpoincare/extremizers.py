@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics, rearrangement
+from . import numerics
 from .geometry import SpaceParams, radius_for_volume, surface_measure, volume_ratios
 from .numerics import GridSpec
 from .profiles import (FuncSegment, PowerSegment, RadialProfile, SampledSegment,
@@ -260,6 +260,8 @@ def second_order_majorant(f: RadialProfile, sp: SpaceParams) -> RadialProfile:
     """Majorant of rearranged preimages under the Laplacian: the descending
     integral of t * f**(t) / A(t)^2 built from the running average f** of
     the rearrangement of f."""
+    from . import rearrangement  # the one user here; sweeps need not load it
+
     fstar = rearrangement.decreasing_rearrangement(f)
     favg = rearrangement.maximal_function(fstar)
 

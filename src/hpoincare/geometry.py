@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DomainError
+from .constants import DomainError
 
 
 def unit_ball_volume(n: int) -> float:

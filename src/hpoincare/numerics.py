@@ -16,7 +16,8 @@ serves only the L^p masses of costly callable segments.
 serves the inverse Laplacian and the L^p masses of sampled segments.
 `illinois` is the one bracketed root-finder, a safeguarded regula falsi
 vectorized over many problems; it serves the rearrangement. The module,
-like the package, needs numpy alone.
+like the package, needs numpy alone. The error types live in `constants`
+and are re-exported here.
 """
 
 from __future__ import annotations
@@ -27,23 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import DomainError, QuadratureError
+
+__all__ = ["REL_TOL", "MAX_SPLITS", "DomainError", "QuadratureError", "GridSpec",
+           "integrate", "batched_gauss", "cumulative_simpson", "illinois"]
+
 # the one tolerance of `integrate`, relative to each problem's magnitude,
 # and the panel splits allowed over one call
 REL_TOL = 1e-10
 MAX_SPLITS = 4000
-
-
-class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to converge; carries the best estimate found."""
-
-    def __init__(self, message, estimate=None, error_bound=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
 
 
 @dataclass(frozen=True)

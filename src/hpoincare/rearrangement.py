@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, QuadratureError, illinois
+from .constants import DomainError, QuadratureError
+from .numerics import illinois
 from .profiles import FuncSegment, PowerSegment, RadialProfile, zero_tail
 
 
@@ -427,8 +428,8 @@ class HardyReport:
 def hardy_check(vstar: RadialProfile, p: float) -> HardyReport:
     """Compare the L^p norm of the running average against the conjugate-
     exponent multiple of the L^p norm of the profile."""
-    if p <= 1:
-        raise DomainError("the Hardy inequality requires p > 1")
+    if not 1 < p < np.inf:
+        raise DomainError(f"the Hardy inequality check needs a finite p > 1, not {p}")
     p_conj = p / (p - 1.0)
     base = vstar.lp_power(p) ** (1.0 / p)
     if not np.isfinite(base):

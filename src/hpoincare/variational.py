@@ -1,10 +1,11 @@
-"""Sharp constants, test functions, norms, and the sharpness sweep.
+"""Test functions, norms, and the sharpness sweep.
 
 The inequality under study bounds the L^p norm of a function on hyperbolic
 n-space by a dimensional constant times the L^p norm of its m-th order
 gradient. This module evaluates both sides on concrete radial test
 functions, forms Rayleigh quotients of the extremizing family, and sweeps
-the quotient toward the sharp constant.
+the quotient toward the sharp constant. The constants themselves live in
+`constants` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,44 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extremizers, numerics
+from .constants import DomainError, gradient_laplacian_constant, sharp_constant
 from .geometry import SpaceParams, log_sphere_area_of_radius, radius_for_volume, volume_ratios
-from .numerics import DomainError
 from .profiles import RadialProfile
 
-
-def sharp_constant(n: int, m: int, p: float) -> float:
-    """Best constant in the m-th order L^p Poincare inequality on
-    hyperbolic n-space.
-
-    Even m = 2k: (p * p' / (n-1)^2)^k with p' = p/(p-1).
-    Odd m = 2k+1: (p / (n-1)) * (p * p' / (n-1)^2)^k.
-    """
-    if n < 2 or int(n) != n:
-        raise DomainError("dimension n must be an integer >= 2")
-    if m < 1 or int(m) != m:
-        raise DomainError("derivative order m must be an integer >= 1")
-    if p <= 1:
-        raise DomainError("exponent p must exceed 1")
-    pc = p / (p - 1.0)
-    base = p * pc / (n - 1.0) ** 2
-    if m % 2 == 0:
-        return base ** (m // 2)
-    return (p / (n - 1.0)) * base ** ((m - 1) // 2)
-
-
-def gradient_laplacian_constant(n: int, p: float) -> float:
-    """Constant for the intermediate gradient-vs-Laplacian bound
-    ||grad u||_p <= K ||Delta u||_p on hyperbolic n-space:
-    K = max(p, p') / (n-1) with p' = p/(p-1).
-
-    The one-sided constant p/(n-1) is not enough for p < 2: radial
-    functions u = (1 + a rho) e^{-a rho} with a just above (n-1)/p push
-    the quotient arbitrarily close to p'/(n-1) (numerically: n = 2,
-    p = 3/2, a = 0.8 already gives a quotient of about 2.8 > p/(n-1)).
-    Taking the larger of the two conjugate exponents covers both regimes.
-    """
-    sharp_constant(n, 1, p)  # validates the arguments
-    return max(p, p / (p - 1.0)) / (n - 1.0)
+__all__ = ["sharp_constant", "gradient_laplacian_constant", "PoincareParams", "ExpRadial",
+           "TestFunction", "lp_norm_geodesic", "grad_norm_geodesic", "laplacian_norm_geodesic",
+           "lp_norm_volume", "grad_norm_volume", "InequalityReport", "check_inequality",
+           "rayleigh_quotient", "SweepPoint", "SweepResult", "LOG_RATIO_CAP_HIGH_ORDER",
+           "sharpness_sweep"]
 
 
 @dataclass(frozen=True)

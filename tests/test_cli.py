@@ -37,6 +37,18 @@ class TestConstant:
         payload = json.loads(out)
         assert code == 0 and payload["rows"][0]["branch"] == "odd"
 
+    @pytest.mark.parametrize("argv", [
+        ["constant", "--p", "nan"],
+        ["constant", "--p", "inf"],
+        ["verify-inequality", "--p", "inf", "--count", "1"],
+        ["sharpness-sweep", "--p", "nan", "--log-ratios", "10"],
+    ])
+    def test_non_finite_p_usage_error(self, argv, capsys):
+        # each printed a NaN or infinite constant, a holding check, or a
+        # quadrature failure
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and err.startswith("error: exponent p must be finite")
+
 
 class TestVerifyInequality:
     def test_csv_header_and_rows(self, capsys):
@@ -48,9 +60,11 @@ class TestVerifyInequality:
         assert len(lines) == 4 and all(l.endswith(",true") for l in lines[1:])
 
     def test_empty_count(self, capsys):
-        code, out, _ = run_cli(["verify-inequality", "--count", "0",
-                                "--format", "csv"], capsys)
-        assert code == 0 and out.strip() == "function-id,lhs,rhs,margin,holds"
+        # no test function checked is a usage error, not a pass
+        for count in ("0", "-3"):
+            code, out, err = run_cli(["verify-inequality", "--count", count,
+                                      "--format", "csv"], capsys)
+            assert code == 2 and out == "" and err.startswith("error: --count")
 
     def test_deterministic_bytes(self, capsys):
         args = ["verify-inequality", "--count", "5", "--seed", "7", "--format", "csv"]
@@ -127,6 +141,20 @@ class TestHardyDemo:
         assert lines[0] == "profile-id,lhs,rhs,ratio,holds"
         assert all(l.endswith(",true") for l in lines[1:])
 
+    def test_zero_count_checks_the_indicator(self, capsys):
+        code, out, _ = run_cli(["hardy-demo", "--count", "0", "--format", "csv"], capsys)
+        assert code == 0 and out.strip().split("\n")[1].startswith("indicator,")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "nan"], "error: the Hardy inequality check needs a finite p"),
+        (["--count", "-1"], "error: --count must be at least 0"),
+    ])
+    def test_usage_errors(self, argv, message, capsys):
+        # NaN p was reported as a divergent norm (exit 1), and a negative
+        # count ran the indicator alone
+        code, out, err = run_cli(["hardy-demo", *argv], capsys)
+        assert code == 2 and out == "" and err.startswith(message)
+
 
 class TestSelfcheck:
     def test_clean_pass(self, capsys):
@@ -166,6 +194,12 @@ class TestOutputFile:
         data = path.read_bytes()
         assert code == 0 and b"\r" not in data and data.endswith(b"\n")
 
+    def test_unopenable_path_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(["constant", "--output", str(path)], capsys)
+        assert code == 2 and out == "" and err.startswith("error: cannot open the output file")
+        assert not path.parent.exists()
+
 
 _NO_SCIPY = """
 import json, sys
@@ -190,16 +224,69 @@ print(json.dumps({"codes": codes, "sampled": len(built), "scipy": loaded}))
 """
 
 
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import hpoincare.cli as cli
+sys.exit(cli.main(["constant", "--n", "3", "--m", "2", "--p", "2"]))
+"""
+
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import hpoincare.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.split(".")[0] == "hpoincare")}))
+"""
+
+_BASE = ["hpoincare", "hpoincare.cli", "hpoincare.constants"]
+_NUMERICAL = ["hpoincare.extremizers", "hpoincare.geometry", "hpoincare.numerics",
+              "hpoincare.profiles", "hpoincare.variational"]
+
+
+def _python(*args):
+    """Run this interpreter on args with the package's source on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hpoincare.__file__)))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestStartUp:
     def test_runs_without_scipy(self):
         # the constant and an m = 2 sweep, whose inverse-Laplacian iterates
         # are sampled profiles, in a process where scipy cannot be imported
-        src = os.path.dirname(os.path.dirname(os.path.abspath(hpoincare.__file__)))
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True,
-                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        proc = _python("-c", _NO_SCIPY)
         assert proc.returncode == 0, proc.stderr
         rec = json.loads(proc.stdout.strip().splitlines()[-1])
         assert rec["codes"] == [0, 0]
         assert rec["sampled"] > 0
         assert rec["scipy"] == []
+
+    def test_constant_runs_without_numpy(self):
+        proc = _python("-c", _NO_NUMPY)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("C(3,2,2) = 1")
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["constant"], _BASE),
+        (["hardy-demo", "--count", "1"],
+         _BASE + ["hpoincare.numerics", "hpoincare.profiles", "hpoincare.rearrangement"]),
+        (["sharpness-sweep", "--log-ratios", "10"], _BASE + _NUMERICAL),
+        (["verify-inequality", "--count", "1"], _BASE + _NUMERICAL),
+    ])
+    def test_subcommand_loads_only_its_modules(self, argv, modules):
+        proc = _python("-c", _FOOTPRINT, *argv)
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout)
+        assert rec["code"] == 0
+        assert rec["modules"] == sorted(modules)
+        assert rec["numpy"] == (argv[0] != "constant")
+
+    def test_run_as_module_without_warnings(self):
+        # runpy warns when the package's own import has already loaded the
+        # module it is asked to run
+        proc = _python("-W", "error", "-m", "hpoincare.cli", "constant")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""

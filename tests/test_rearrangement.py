@@ -408,6 +408,12 @@ class TestHardy:
         with pytest.raises(DomainError):
             hardy_check(indicator_profile(0.0, 1.0), 1.0)
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_non_finite_p_rejected(self, p):
+        # NaN passed the p <= 1 check and ended as a "divergent" L^p norm
+        with pytest.raises(DomainError, match="finite"):
+            hardy_check(indicator_profile(0.0, 1.0), p)
+
     def test_lhs_matches_closed_form(self):
         # For a step function, f** = h + b/s on the k-th step of f*, with
         # h the k-th largest height and b = (mass before the step) - h *

@@ -55,6 +55,26 @@ class TestSharpConstant:
         with pytest.raises(DomainError):
             sharp_constant(3, 1, 1.0)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_p_rejected(self, p):
+        # NaN fails no comparison, and p = inf made C = inf or NaN
+        with pytest.raises(DomainError, match="finite"):
+            sharp_constant(3, 1, p)
+        with pytest.raises(DomainError, match="finite"):
+            sharp_constant(3, 2, p)
+        with pytest.raises(DomainError, match="finite"):
+            gradient_laplacian_constant(3, p)
+        with pytest.raises(DomainError, match="finite"):
+            PoincareParams(3, 1, p)
+
+    def test_reexported_from_their_home(self):
+        from hpoincare import constants, numerics
+
+        assert sharp_constant is constants.sharp_constant
+        assert gradient_laplacian_constant is constants.gradient_laplacian_constant
+        assert numerics.DomainError is DomainError is constants.DomainError
+        assert numerics.QuadratureError is QuadratureError is constants.QuadratureError
+
 
 class TestGradientLaplacianConstant:
     def test_values(self):
