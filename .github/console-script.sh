@@ -18,6 +18,8 @@
 # selfcheck must print the same bytes twice: its Hardy, g-oracle and
 # t-inversion suites go through the rearrangement's seeded root solves.
 # A non-finite exponent must be a usage error (exit 2), not a NaN constant.
+# Last, a usage error (hardy-demo --count -1) with --output on a non-empty
+# file must exit 2 and leave that file as it was.
 # Usage: sh .github/console-script.sh  (after `python -m pip install -e .`)
 set -eu
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
@@ -66,3 +68,9 @@ hpoincare selfcheck > "$tmp/selfcheck-1.txt"
 hpoincare selfcheck > "$tmp/selfcheck-2.txt"
 cmp "$tmp/selfcheck-1.txt" "$tmp/selfcheck-2.txt"
 cat "$tmp/selfcheck-1.txt"
+printf 'kept\n' > "$tmp/keep.txt"
+cp "$tmp/keep.txt" "$tmp/keep-copy.txt"
+status=0
+hpoincare hardy-demo --count -1 --output "$tmp/keep.txt" 2> /dev/null || status=$?
+test "$status" -eq 2
+cmp "$tmp/keep.txt" "$tmp/keep-copy.txt"

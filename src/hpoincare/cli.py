@@ -6,7 +6,8 @@ json. Exit status: 0 if all checks passed, 1 if a mathematical check
 failed or a computation did not converge, 2 on usage errors: an argument
 outside its domain (p must be finite and exceed 1, verify-inequality needs
 --count >= 1 and hardy-demo --count >= 0) or an output file that cannot be
-opened.
+opened. --output is opened once the subcommand has returned: a usage error
+leaves an existing file untouched.
 
 Each subcommand imports the modules it runs inside its own function, so a
 process loads only those: `constant` needs the standard library alone and
@@ -17,6 +18,7 @@ extremizers.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -332,10 +334,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.output:
-            with _open_output(args.output) as fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
+        if not args.output:
+            return args.func(args, sys.stdout)
+        buf = io.StringIO()
+        code = args.func(args, buf)
+        with _open_output(args.output) as fh:
+            fh.write(buf.getvalue())
+        return code
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

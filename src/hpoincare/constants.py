@@ -30,9 +30,9 @@ def sharp_constant(n: int, m: int, p: float) -> float:
     Even m = 2k: (p * p' / (n-1)^2)^k with p' = p/(p-1).
     Odd m = 2k+1: (p / (n-1)) * (p * p' / (n-1)^2)^k.
     """
-    if n < 2 or int(n) != n:
+    if not math.isfinite(n) or n < 2 or int(n) != n:
         raise DomainError("dimension n must be an integer >= 2")
-    if m < 1 or int(m) != m:
+    if not math.isfinite(m) or m < 1 or int(m) != m:
         raise DomainError("derivative order m must be an integer >= 1")
     if not 1 < p < math.inf:
         raise DomainError(f"exponent p must be finite and exceed 1, not {p}")

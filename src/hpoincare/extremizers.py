@@ -143,9 +143,11 @@ def _fine_grid(grid: GridSpec, sp: SpaceParams):
     sigma_ends = rho_ends + np.log(-np.expm1(-rho_ends))
     sigma = np.linspace(sigma_ends[0], sigma_ends[1], (grid.points - 1) * _REFINE + 1)
     rho = np.logaddexp(0.0, sigma)
-    s, g = volume_ratios(rho, 1.0, sp)
-    area = s / g
-    weights = area * -np.expm1(-rho)
+    # in place, into g and rho: a freed temporary this large faults in again
+    s, area = volume_ratios(rho, 1.0, sp)
+    np.divide(s, area, out=area)
+    weights = np.negative(np.expm1(np.negative(rho, out=rho), out=rho), out=rho)
+    weights *= area
     s.flags.writeable = weights.flags.writeable = area.flags.writeable = False
     return s, sigma[1] - sigma[0], weights, area
 
@@ -177,12 +179,11 @@ def _inverse_pass(vals, grid, source=None):
         desc = numerics.cumulative_simpson(integrand_out[::-1], h)[::-1]
         Tv = tail + desc
 
-        # Richardson-style discretization estimate: redo the descending pass at
-        # double spacing and compare on shared nodes
-        half_idx = np.arange(0, s.size, 2)
-        desc_half = numerics.cumulative_simpson(integrand_out[half_idx][::-1], 2.0 * h)[::-1]
+        # Richardson-style discretization estimate: redo the descending pass on
+        # every other node (an odd count: from the top one) and compare there
+        desc_half = numerics.cumulative_simpson(integrand_out[::-2], 2.0 * h)[::-1]
         ref = max(abs(Tv[0]), abs(Tv[s.size // 2]))
-        disc = float(np.max(np.abs(desc[half_idx] - desc_half)))
+        disc = float(np.max(np.abs(desc[::2] - desc_half)))
         disc = disc / ref if disc else 0.0  # the inverse of v = 0 is exactly 0
     if not np.all(np.isfinite(Tv)):
         raise numerics.QuadratureError("the inverse Laplacian overflowed on the grid")

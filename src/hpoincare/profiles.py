@@ -210,8 +210,8 @@ class _Pchip:
 class SampledSegment(Segment):
     """Samples on a grid uniform in x = ln s, or in another x of the given
     `step` with the given `weights` ds/dx at the nodes, interpolated by
-    monotone piecewise cubics in t = ln s. The interpolants, of the values
-    and of the first and second log-derivatives, are built on first use."""
+    monotone piecewise cubics in t = ln s. t and the interpolants, of the
+    values and of the first and second log-derivatives, are built on first use."""
 
     def __init__(self, nodes, values, step=None, weights=None):
         nodes = np.asarray(nodes, dtype=float)
@@ -223,7 +223,6 @@ class SampledSegment(Segment):
         super().__init__(nodes[0], nodes[-1])
         self.nodes = nodes
         self.values = values
-        self._t = np.log(nodes)
         self._log_grid = step is None and weights is None
         self.step = self._t[1] - self._t[0] if self._log_grid else float(step)
         self.weights = nodes if self._log_grid else np.asarray(weights, dtype=float)
@@ -231,6 +230,10 @@ class SampledSegment(Segment):
             raise ValueError("sampled nodes must be log-uniform")
         if self.weights.shape != nodes.shape:
             raise ValueError("sampled segment needs one weight per node")
+
+    @functools.cached_property
+    def _t(self):
+        return np.log(self.nodes)
 
     @functools.cached_property
     def _interp(self):
@@ -354,17 +357,23 @@ class RadialProfile:
         return tuple(self._bounds)
 
     def _dispatch(self, s, per_segment):
-        """per_segment(k, x) at the abscissae x in segment k, for every
-        segment that holds some of s; a float for scalar s."""
+        """per_segment(k, x) at the abscissae x in segment k (a breakpoint in
+        the one it starts), for every segment that holds some of s; a float
+        for scalar s. Slices of a 1-d ascending s, masks of any other s."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s_arr = np.atleast_1d(s)
-        idx = np.searchsorted(self._bounds, s_arr, side="right")
         out = np.empty_like(s_arr)
-        # the segments that hold some of s, in order, without sorting s
-        for k in np.flatnonzero(np.bincount(idx.ravel(), minlength=len(self.segments))):
-            mask = idx == k
-            out[mask] = per_segment(k, s_arr[mask])
+        if s_arr.ndim == 1 and np.all(s_arr[:-1] <= s_arr[1:]):  # False at a NaN
+            cuts = [0, *np.searchsorted(s_arr, self._bounds, side="left"), s_arr.size]
+            for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+                if a < b:
+                    out[a:b] = per_segment(k, s_arr[a:b])
+        else:
+            idx = np.searchsorted(self._bounds, s_arr, side="right")
+            for k in np.flatnonzero(np.bincount(idx.ravel(), minlength=len(self.segments))):
+                mask = idx == k
+                out[mask] = per_segment(k, s_arr[mask])
         return float(out[0]) if scalar else out
 
     def __call__(self, s):

@@ -200,6 +200,17 @@ class TestOutputFile:
         assert code == 2 and out == "" and err.startswith("error: cannot open the output file")
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("argv", [["hardy-demo", "--count", "-1"],
+                                      ["constant", "--p", "nan"],
+                                      ["sharpness-sweep", "--log-ratios", ","]])
+    def test_usage_error_leaves_file_untouched(self, argv, tmp_path, capsys):
+        # the file was opened, and so truncated, before the arguments were checked
+        path = tmp_path / "keep.txt"
+        path.write_bytes(b"kept\n")
+        code, out, err = run_cli([*argv, "--output", str(path)], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert path.read_bytes() == b"kept\n"
+
 
 _NO_SCIPY = """
 import json, sys

@@ -259,6 +259,77 @@ class TestRadialProfile:
         assert prof.breakpoints == (1.0, 2.0)
 
 
+def _four_power_segments():
+    return RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]),
+                          PowerSegment(1, 4, [(1.0, -0.5)]),
+                          PowerSegment(4, 9, [(2.0, 1.0), (-0.5, 0.0)]),
+                          PowerSegment(9, np.inf, [(3.0, -2.0)])], tail_bound=2.0)
+
+
+def _sampled():
+    nodes = np.geomspace(0.1, 100.0, 41)
+    return sampled_profile(nodes, 1.0 / (1.0 + nodes))
+
+
+_ASCENDING = np.array([0.0, 0.05, 0.1, 0.5, 1.0, 1.0, 2.5, 4.0, 8.9, 9.0, 50.0, 100.0, 1e3])
+
+
+class TestDispatch:
+    """A 1-d ascending array is cut into slices at the breakpoints, any other
+    array masked segment by segment: both give the per-point values."""
+
+    @pytest.mark.parametrize("make", [_four_power_segments, _sampled])
+    @pytest.mark.parametrize("s", [
+        _ASCENDING,
+        _ASCENDING[np.random.default_rng(5).permutation(_ASCENDING.size)],
+        _ASCENDING[1:].reshape(3, 4),
+        np.array([0.5, 2.0, np.nan, 50.0]),
+        np.array([np.nan]),
+        np.array([]),
+    ], ids=["ascending", "unsorted", "2-d", "nan", "nan-only", "empty"])
+    def test_arrays_match_scalar_calls(self, make, s):
+        prof = make()
+        for fn in (prof, prof.running_integral):
+            got = fn(s)
+            want = np.array([fn(float(x)) for x in s.ravel()]).reshape(s.shape)
+            assert got.shape == s.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_breakpoint_goes_to_the_segment_it_starts(self):
+        for make in (_four_power_segments, _sampled):
+            prof = make()
+            bks = np.array(prof.breakpoints)
+            segment = lambda k, x: np.full(x.shape, float(k))
+            want = np.arange(1.0, bks.size + 1)
+            assert np.array_equal(prof._dispatch(bks, segment), want)  # sliced
+            assert np.array_equal(prof._dispatch(bks[::-1], segment), want[::-1])  # masked
+            below = np.nextafter(bks, 0.0)
+            assert np.array_equal(prof._dispatch(below, segment), want - 1.0)
+
+    def test_ascending_input_is_sliced(self):
+        seen = []
+        prof = _four_power_segments()
+        prof._dispatch(_ASCENDING, lambda k, x: seen.append(x.base is not None) or x)
+        assert seen == [True] * 4  # views of the input, not masked copies
+
+    def test_iterate_builds_log_nodes_late(self):
+        params = ExtremizerParams.create(SpaceParams(3), 2.0, 0.05, 12.0)
+        seg = inverse_laplacian_iterates(params, 2)[0].segments[1]
+        assert seg.lp_mass(2.0) is not None and "_t" not in vars(seg)
+        early = SampledSegment(seg.nodes, seg.values, seg.step, seg.weights)
+        assert np.array_equal(early._t, np.log(seg.nodes))
+        s = np.concatenate([seg.nodes[::97], np.geomspace(seg.s_lo, seg.s_hi, 50)[1:-1]])
+        # late: the derivative interpolants build t, before any value is taken
+        got = [seg.deriv2(s), seg.deriv(s), seg.value(s)]
+        want = [early.deriv2(s), early.deriv(s), early.value(s)]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and np.all(np.isfinite(g))
+        # t of a node is the log the interpolant was built on (the last node
+        # ends the last cubic piece, so it carries that piece's rounding)
+        assert np.array_equal(seg.value(seg.nodes[:-1]), seg.values[:-1])
+
+
 class TestPchip:
     @staticmethod
     def _cases():

@@ -67,6 +67,14 @@ class TestSharpConstant:
         with pytest.raises(DomainError, match="finite"):
             PoincareParams(3, 1, p)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_n_and_m_rejected(self, x):
+        # int() of them raised OverflowError (inf) or a bare ValueError (NaN)
+        with pytest.raises(DomainError, match="dimension"):
+            sharp_constant(x, 1, 2.0)
+        with pytest.raises(DomainError, match="order"):
+            sharp_constant(3, x, 2.0)
+
     def test_reexported_from_their_home(self):
         from hpoincare import constants, numerics
 
