@@ -6,12 +6,12 @@ monotone piecewise-cubic (PCHIP) interpolation in ln s, and lazily
 evaluated callables (used by the rearrangement machinery). Every segment
 integrates itself through `primitive_from_lo`: in closed form for power sums
 (and for pieces of a decreasing rearrangement), by one batched adaptive
-quadrature over the abscissae otherwise. L^p masses come from
-`Segment.lp_mass` where a segment has its own rule, or from the adaptive
-quadrature where it returns None: closed forms for single power terms, and
-for sampled segments composite Simpson on the samples themselves: the
-interpolant's second derivative jumps at every node, and the adaptive rule
-would have to bisect around each of those jumps.
+quadrature over the abscissae otherwise. Likewise every segment gives its
+L^p mass through `lp_mass`, by the adaptive quadrature unless it has a rule
+that applies: closed forms for single power terms, fixed panels for
+callables, and for sampled segments composite Simpson on the samples
+themselves, since the interpolant's second derivative jumps at every node
+and the adaptive rule would have to bisect around each of those jumps.
 """
 
 from __future__ import annotations
@@ -52,9 +52,20 @@ class Segment:
         return out
 
     def lp_mass(self, p, tail_bound=None):
-        """Integral of |value|^p over the segment, or None to defer to the
-        generic adaptive quadrature."""
-        return None
+        """Integral of |value|^p over the segment, by the adaptive quadrature."""
+        return numerics.integrate(lambda s: np.abs(self.value(s)) ** p, self.s_lo,
+                                  self.s_hi, tail_decay=self._tail_decay(p, tail_bound))
+
+    def _tail_decay(self, p, tail_bound):
+        """tail_bound * p, the decay exponent of |v|^p on an infinite segment
+        (None on a finite one); QuadratureError where it is not integrable."""
+        if not math.isinf(self.s_hi):
+            return None
+        decay = (tail_bound or 0.0) * p
+        if decay <= 1:
+            raise numerics.QuadratureError(
+                f"divergent or unbounded tail from {self.s_lo}; tighten tail_bound")
+        return decay
 
     def is_zero(self):
         return False
@@ -108,9 +119,10 @@ class PowerSegment(Segment):
 
     def lp_mass(self, p, tail_bound=None):
         """Closed form for a single power term, in the log domain: |c|^p
-        alone can overflow even when the integral itself is moderate."""
+        alone can overflow even when the integral itself is moderate; the
+        adaptive quadrature for a sum of terms."""
         if len(self.terms) != 1:
-            return None
+            return super().lp_mass(p, tail_bound)
         c, e = self.terms[0]
         if c == 0.0:
             return 0.0
@@ -265,21 +277,20 @@ class SampledSegment(Segment):
     def lp_mass(self, p, tail_bound=None):
         """Integral of |v|^p ds = |v|^p (ds/dx) dx over the segment, by
         composite Simpson in x on the samples, checked against Simpson on
-        every other sample. None defers to the adaptive quadrature where the
-        node count is not 1 mod 4 or below 9 (both rules need an odd count of
-        at least five), the data change sign (|v|^p then has a kink between
-        nodes), or the two sums differ by more than numerics.REL_TOL relative,
-        which a non-finite sum always does."""
+        every other sample. The adaptive quadrature of the interpolant
+        instead where the node count is not 1 mod 4 or below 9 (both rules
+        need an odd count of at least five), the data change sign (|v|^p
+        then has a kink between nodes), or the two sums differ by more than
+        numerics.REL_TOL relative, which a non-finite sum always does."""
         if len(self.nodes) % 4 != 1 or len(self.nodes) < 9 or not (
                 np.all(self.values > 0) or np.all(self.values < 0)):
-            return None
+            return super().lp_mass(p, tail_bound)
         with np.errstate(over="ignore", invalid="ignore"):
             f = np.abs(self.values) ** p * self.weights
             full = numerics.cumulative_simpson(f, self.step)[-1]
             half = numerics.cumulative_simpson(f[::2], 2.0 * self.step)[-1]
-            if not abs(full - half) <= numerics.REL_TOL * abs(full):
-                return None
-        return float(full)
+            checked = abs(full - half) <= numerics.REL_TOL * abs(full)
+        return float(full) if checked else super().lp_mass(p, tail_bound)
 
 
 class FuncSegment(Segment):
@@ -299,11 +310,8 @@ class FuncSegment(Segment):
     def lp_mass(self, p, tail_bound=None):
         fn = lambda s: np.abs(self.value(s)) ** p
         hi = self.s_hi
-        if math.isinf(hi):
-            decay = (tail_bound or 0.0) * p
-            if decay <= 1:
-                raise numerics.QuadratureError(
-                    f"divergent |v|^p tail on callable segment from {self.s_lo}")
+        decay = self._tail_decay(p, tail_bound)
+        if decay is not None:
             # majorant of the mass beyond T, for T = T_0 4^k, k <= 300, until
             # REL_TOL of its first or past 1e280; 16 exact rungs per call
             start = max(2.0 * self.s_lo, 1.0)
@@ -405,25 +413,13 @@ class RadialProfile:
         return self._dispatch(s, lambda k, x: cum[k] + self.segments[k].primitive_from_lo(x))
 
     def lp_power(self, p):
-        """Integral of |v|^p over [0, inf). A segment without a rule of its
-        own takes the adaptive quadrature; on the infinite last segment |v|^p
-        decays like s^(-tail_bound * p), and QuadratureError if that is not
-        integrable."""
+        """Integral of |v|^p over [0, inf): the sum of the segments' own
+        `lp_mass`, where tail_bound bounds the decay of the infinite last
+        segment."""
         total = 0.0
         for seg in self.segments:
-            if seg.is_zero():
-                continue
-            mass = seg.lp_mass(p, tail_bound=self.tail_bound)
-            if mass is None:
-                decay = None
-                if math.isinf(seg.s_hi):
-                    decay = (self.tail_bound or 0.0) * p
-                    if decay <= 1:
-                        raise numerics.QuadratureError(
-                            f"divergent or unbounded tail from {seg.s_lo}; tighten tail_bound")
-                mass = numerics.integrate(lambda s: np.abs(seg.value(s)) ** p,
-                                          seg.s_lo, seg.s_hi, tail_decay=decay)
-            total += mass
+            if not seg.is_zero():
+                total += seg.lp_mass(p, self.tail_bound)
         return total
 
 
