@@ -119,8 +119,7 @@ class PowerSegment(Segment):
 
     def lp_mass(self, p, tail_bound=None):
         """Closed form for a single power term, in the log domain: |c|^p
-        alone can overflow even when the integral itself is moderate; the
-        adaptive quadrature for a sum of terms."""
+        alone can overflow even when the integral itself is moderate."""
         if len(self.terms) != 1:
             return super().lp_mass(p, tail_bound)
         c, e = self.terms[0]
@@ -313,19 +312,21 @@ class FuncSegment(Segment):
         decay = self._tail_decay(p, tail_bound)
         if decay is not None:
             # majorant of the mass beyond T, for T = T_0 4^k, k <= 300, until
-            # REL_TOL of its first or past 1e280; 16 exact rungs per call
+            # REL_TOL of the largest at an earlier rung (a zero of |v| at
+            # T_0 stops nothing) or past 1e280; 16 exact rungs per call
             start = max(2.0 * self.s_lo, 1.0)
+            peak = -np.inf  # largest majorant of the earlier calls
             for k in range(0, 301, 16):
                 rungs = start * 4.0 ** np.arange(k, min(k + 16, 301))
                 rungs = rungs[:np.searchsorted(rungs, 1e280, side="right") + 1]
                 tails = fn(rungs) * rungs / (decay - 1.0)
-                if k == 0:
-                    stop = numerics.REL_TOL * tails[0]
-                done = np.flatnonzero((tails <= stop) | (rungs > 1e280))
+                peaks = np.maximum.accumulate(np.append(peak, tails))
+                done = np.flatnonzero((tails <= numerics.REL_TOL * peaks[:-1]) | (rungs > 1e280))
                 if done.size or k + 16 > 300:
                     last = done[0] if done.size else -1
                     hi, tail = float(rungs[last]), float(tails[last])
                     break
+                peak = peaks[-1]
         else:
             tail = 0.0
         lo = self.s_lo if self.s_lo > 0 else hi * 1e-9

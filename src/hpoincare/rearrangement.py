@@ -51,6 +51,7 @@ class _Piece:
 _PROBE = 129
 _CELLS = 16  # probe cells of a piece's solve (rungs per call on an infinite one)
 _SAMPLES = 32  # levels of a level table sampled inside each ramp
+_TINY = np.finfo(float).tiny  # the least normal float, the lowest level solved for
 
 # monotone pieces of each profile, computed once per profile
 _PIECES = weakref.WeakKeyDictionary()
@@ -232,13 +233,16 @@ class _LevelTable:
     Between mu(c_k-) and mu(c_{k+1}), mu is continuous and strictly
     decreasing on (c_{k+1}, c_k), and f*(t) is its root there (Illinois in
     ln y from the two sampled levels around t, stopped at a residual of
-    4 ulp of t or a bracket of 4 ulp of ln y). f* is 0 from mu(floor) on.
+    4 ulp of t or a bracket of 4 ulp of ln y). From mu(floor) on, f* is 0
+    on a compact source; on a non-compact one f*(t) is the root of mu(y) = t
+    below the floor, bracketed by levels stepped down from it by 1e-18.
     """
 
     def __init__(self, v: RadialProfile, sup: float):
         self.source = v
         self.floor = sup * 1e-18
         pieces = _monotone_pieces(v)
+        self.compact = not any(np.isinf(p.b) for p in pieces)
         crit = {sup} | {p.va for p in pieces} | {p.vb for p in pieces}
         self.levels = np.array(sorted((c for c in crit if self.floor < c <= sup),
                                       reverse=True) + [self.floor])
@@ -267,19 +271,43 @@ class _LevelTable:
         t = np.asarray(t, dtype=float)
         k = self.bracket(t)
         out = np.zeros(t.shape)
-        plateau = (k % 2 == 0) & (k < self.dead)
+        live = k < self.dead
+        plateau = (k % 2 == 0) & live
         out[plateau] = self.levels[k[plateau] // 2]
-        ramp = (k % 2 == 1) & (k < self.dead)
+        ramp = (k % 2 == 1) & live
         if np.any(ramp):
             tr = t[ramp]
             # the table cell holding t, kept inside its ramp from c_j- to c_{j+1}
             row = (k[ramp] // 2) * (_SAMPLES + 2)
             c = np.clip(np.searchsorted(self.cells, tr, side="right") - 1,
                         row + 1, row + _SAMPLES + 1)
-            resid = lambda x, i: _measure_above(self.source, np.exp(x)) - tr[i]
-            x = illinois(resid, np.log(self.ys[c + 1]), np.log(self.ys[c]),
-                         self.mus[c + 1] - tr, self.mus[c] - tr, 4 * np.spacing(tr))
-            out[ramp] = np.exp(x)
+            out[ramp] = self._root(tr, self.ys[c + 1], self.ys[c], self.mus[c + 1], self.mus[c])
+        if not (self.compact or live.all()):
+            out[~live] = self._below_floor(t[~live])
+        return out
+
+    def _root(self, t, y_lo, y_hi, mu_lo, mu_hi):
+        """y in [y_lo, y_hi] with mu(y) = t, where mu(y_lo) > t >= mu(y_hi)."""
+        resid = lambda x, i: _measure_above(self.source, np.exp(x)) - t[i]
+        return np.exp(illinois(resid, np.log(y_lo), np.log(y_hi), mu_lo - t, mu_hi - t,
+                               4 * np.spacing(t)))
+
+    def _below_floor(self, t):
+        """f*(t) for t >= mu(floor) on a non-compact source: the root of
+        mu(y) = t between the first level floor 1e-18^j with mu above t and
+        the one before it; 0 where no normal float is such a level."""
+        lo, mu_lo = np.full(t.shape, self.floor), np.full(t.shape, self.breaks[self.dead])
+        hi, mu_hi = lo.copy(), mu_lo.copy()
+        step = mu_lo <= t
+        while np.any(step):
+            hi[step], mu_hi[step] = lo[step], mu_lo[step]
+            lo[step] *= 1e-18
+            mu_lo[step] = _measure_above(self.source, lo[step])
+            step = (mu_lo <= t) & (lo * 1e-18 >= _TINY)
+        found = mu_lo > t
+        out = np.zeros(t.shape)
+        if np.any(found):
+            out[found] = self._root(t[found], lo[found], hi[found], mu_lo[found], mu_hi[found])
         return out
 
     def derivative(self, t):
@@ -303,9 +331,10 @@ class _LevelTable:
         """Integral of f* over [0, s] by the layer-cake identity
         int_{|v| > y} |v| + y (s - mu(y)) with y = f*(s), the first term in
         closed form over the monotone pieces of the source."""
-        # f* is 0 from mu(floor) on, and so adds nothing beyond it
-        s = np.minimum(np.asarray(s, dtype=float), self.breaks[self.dead])
-        y = np.maximum(self(s), self.floor)
+        s = np.asarray(s, dtype=float)
+        if self.compact:  # f* is 0 from mu(floor) on, and so adds nothing beyond it
+            s = np.minimum(s, self.breaks[self.dead])
+        y = np.maximum(self(s), self.floor if self.compact else _TINY)
         mass = np.zeros(s.shape)
         mu = np.zeros(s.shape)
         for piece in _monotone_pieces(self.source):
@@ -351,8 +380,7 @@ def decreasing_rearrangement(v: RadialProfile) -> RadialProfile:
         raise QuadratureError(f"super-level set at level {sup * 1e-12:g} has infinite measure")
     table = _LevelTable(v, sup)
     # total measure of the support (finite iff compactly supported)
-    compact = not any(np.isinf(p.b) for p in pieces)
-    total = float(table.mu[-1]) if compact else np.inf
+    total = float(table.mu[-1]) if table.compact else np.inf
     # one segment per break interval of positive measure; an empty one
     # (its width rounding noise of mu) joins the segment after it, and the
     # last segment runs to the end of the support
@@ -369,7 +397,7 @@ def decreasing_rearrangement(v: RadialProfile) -> RadialProfile:
         else:
             segs.append(_RearrangedSegment(a, b, table))
         a = b
-    if compact:
+    if table.compact:
         segs.append(zero_tail(total))
         tail_bound = np.inf
     else:

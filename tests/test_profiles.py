@@ -223,10 +223,11 @@ class TestRadialProfile:
         majorant = lambda T: float(fn(np.array([T]))[0]) * T / (decay - 1.0)
         hi = max(2.0 * s_lo, 1.0)
         tail = majorant(hi)
-        stop = REL_TOL * tail
+        peak = -math.inf  # largest majorant at an earlier rung
         for _ in range(300):
-            if tail <= stop or hi > 1e280:
+            if tail <= REL_TOL * peak or hi > 1e280:
                 break
+            peak = max(peak, tail)
             hi *= 4.0
             tail = majorant(hi)
         lo = s_lo if s_lo > 0 else hi * 1e-9
@@ -237,11 +238,31 @@ class TestRadialProfile:
         assert got == want + tail
         assert calls < len(sizes) - calls
 
+    def test_callable_tail_zero_at_first_rung(self):
+        # |v| = (s - 2)^2 / s^4 vanishes at the first rung, T = 2: the tail
+        # search must not stop there with nearly all of the tail left out
+        v = lambda s: (s - 2.0) ** 2 / s ** 4
+        seg = FuncSegment(1.0, np.inf, v, None)
+        assert seg.lp_mass(1.0, tail_bound=2.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        prof = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]), seg], tail_bound=2.0)
+        assert prof.lp_power(1.0) == pytest.approx(4.0 / 3.0, rel=1e-12)
+
     def test_lp_power_divergent_tail_raises(self):
         prof = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]),
                               PowerSegment(1, np.inf, [(1.0, -0.5)])])
         with pytest.raises(QuadratureError):
             prof.lp_power(2.0)
+
+    @pytest.mark.parametrize("tail", [
+        PowerSegment(1, np.inf, [(1.0, -1.0), (0.5, -2.0)]),
+        FuncSegment(1, np.inf, lambda s: 1.0 / s + 0.5 / s ** 2, None)])
+    def test_unbounded_tail_one_message(self, tail):
+        # tail_bound * p = 1: the adaptive fallback and the callable rule
+        # share one tail check, and so one message
+        prof = RadialProfile([PowerSegment(0, 1, [(1.0, 0.0)]), tail], tail_bound=0.5)
+        with pytest.raises(QuadratureError) as info:
+            prof.lp_power(2.0)
+        assert str(info.value) == "divergent or unbounded tail from 1.0; tighten tail_bound"
 
     def test_support_end(self):
         assert indicator_profile(0.0, 2.0).support_end() == 2.0

@@ -141,6 +141,21 @@ class TestInfinitePieces:
         assert np.array_equal(mu, [4.0, 1.0, 0.0, 1e4])
         assert decreasing_rearrangement(prof) is prof
 
+    @pytest.mark.parametrize("a, p", [(0.5, 2.1), (1.0, 1.2)])
+    def test_slow_tail_below_the_level_floor(self, a, p):
+        # 0.5 on [0, 1), then 2 s^-a: f* = 2 s^-a past the plateau, and its
+        # levels go below the level table's floor, sup * 1e-18, where
+        # s > 1e36 (a = 0.5) or 1e18 (a = 1); f* read 0 there and lost mass
+        prof = RadialProfile([PowerSegment(0, 1, [(0.5, 0.0)]),
+                              PowerSegment(1, np.inf, [(2.0, -a)])], tail_bound=a)
+        vstar = decreasing_rearrangement(prof)
+        assert vstar.lp_power(p) == pytest.approx(0.5 ** p + 2.0 ** p / (a * p - 1.0),
+                                                  rel=1e-8)
+        assert distribution_function(vstar, 1e-19) == pytest.approx(
+            distribution_function(prof, 1e-19), rel=1e-8)
+        s = np.array([1e40, 1e60])
+        assert np.allclose(vstar(s), 2.0 * s ** -a, rtol=1e-10)
+
 
 class TestDecreasingRearrangement:
     def test_tent_closed_form(self):
