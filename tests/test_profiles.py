@@ -18,7 +18,7 @@ def _assert_middle_deferred(prof, p):
     head, mid, tail = prof.segments
     adaptive = integrate(lambda s: np.abs(mid.value(s)) ** p, mid.s_lo, mid.s_hi)
     assert mid.lp_mass(p) == adaptive
-    assert prof.lp_power(p) == head.lp_mass(p) + adaptive + tail.lp_mass(p, tail_bound=1.0)
+    assert prof.lp_power(p) == head.lp_mass(p) + adaptive + tail.lp_mass(p)
 
 
 class TestSegments:

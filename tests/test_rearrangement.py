@@ -143,9 +143,9 @@ class TestInfinitePieces:
 
     @pytest.mark.parametrize("a, p", [(0.5, 2.1), (1.0, 1.2)])
     def test_slow_tail_below_the_level_floor(self, a, p):
-        # 0.5 on [0, 1), then 2 s^-a: f* = 2 s^-a past the plateau, and its
-        # levels go below the level table's floor, sup * 1e-18, where
-        # s > 1e36 (a = 0.5) or 1e18 (a = 1); f* read 0 there and lost mass
+        # 0.5 on [0, 1), then 2 s^-a: f* = 2 s^-a past the plateau, below
+        # the level table's floor, sup * 1e-18, from s = 1e36 (a = 0.5) or
+        # 1e18 (a = 1) on, where the mass is a slowly converging tail
         prof = RadialProfile([PowerSegment(0, 1, [(0.5, 0.0)]),
                               PowerSegment(1, np.inf, [(2.0, -a)])], tail_bound=a)
         vstar = decreasing_rearrangement(prof)
